@@ -31,7 +31,7 @@ from .factor_graph import (
     spectral_basis,
     standardize,
 )
-from .linalg import EigenDecomposition, matvec, symmetric_eigen
+from .linalg import EigenDecomposition, symmetric_eigen
 from .predictor import LogisticFallback, RecurrentClassifier, bce_loss
 from .synth import NoiseRule, SynthSpec, describe, generate
 from .training import (
@@ -53,7 +53,7 @@ __all__ = [
     "SpectralBasis", "Subject", "SynthSpec", "TrainConfig", "WeightField",
     "adam_step", "balanced_accuracy", "basis_from_factors", "bce_loss",
     "build_graph", "cross_validate", "describe", "f1_score", "generate",
-    "grad_a", "laplacian", "mann_whitney_u", "matvec", "median_split_from_arrays",
+    "grad_a", "laplacian", "mann_whitney_u", "median_split_from_arrays",
     "median_split_gap", "negativity_penalty", "read_cohort_csv", "select_m_changepoint",
     "spectral_basis", "standardize", "stratified_kfold", "subcohort_tables",
     "sweep", "symmetric_eigen", "train_baseline_none", "train_jtt",

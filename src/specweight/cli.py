@@ -1,7 +1,8 @@
 """Command-line surface: synth, graph, train, report, sweep.
 
-Every command is deterministic given its input files, flags, and seed. Exit
-codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
+Every command is deterministic given its input files, flags, seed, and BLAS
+thread count. Exit codes: 0 success, 1 usage error, 2 data error, 3
+numerical failure.
 
 Config files are flat key=value text (# comments allowed); any key can be
 overridden by the CLI flag of the same name.

@@ -8,6 +8,7 @@ predictions and inferred weights. The decision threshold is 0.5 throughout.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -19,6 +20,9 @@ from .seeding import derive_seed
 
 DEFAULT_K_GRID = (10, 30, 50, 75, 100)
 DEFAULT_C_GRID = (0.5, 0.65, 0.7, 0.75, 1.0)
+# Eigensolver output is bitwise reproducible only at a fixed BLAS thread
+# count, so manifests record the variables that set it (None when unset).
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +203,7 @@ def cross_validate(data: CohortDataset, factors: FactorTable | None, cfg: tr.Tra
 
     folds = stratified_kfold(labels, n_folds, derive_seed(cfg.seed, "folds"))
     run = CVRun(cfg.scheme, cfg.seed, n_folds, basis=basis, basis_info=basis_info)
+    blas_threads = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
 
     for fold in range(n_folds):
         test_mask = folds == fold
@@ -239,6 +244,7 @@ def cross_validate(data: CohortDataset, factors: FactorTable | None, cfg: tr.Tra
             "initial_objective": result.history.initial_objective,
             "final_objective": result.history.final_objective,
             "epoch_losses": result.history.epoch_losses,
+            "blas_threads": blas_threads,
         })
     return run
 
@@ -261,8 +267,9 @@ def median_split_from_arrays(y, prob, weights) -> MedianSplitGap:
     """Balanced-accuracy gap between high- and low-weight cohorts.
 
     Splits at the median weight; samples at the median go to the low side.
-    All-equal or missing weights leave one side empty: the gap is reported
-    as 0 and flagged degenerate.
+    When balanced accuracy is undefined on a side (all-equal weights leave
+    the high side empty, or a side holds only one class) or weights are
+    missing, the gap is reported as 0 and flagged degenerate.
     """
     y = np.asarray(y)
     prob = np.asarray(prob)
@@ -272,7 +279,7 @@ def median_split_from_arrays(y, prob, weights) -> MedianSplitGap:
     median = float(np.median(w))
     high = w > median
     low = ~high
-    if not high.any() or not low.any():
+    if any(np.unique(y[side]).size < 2 for side in (high, low)):
         return MedianSplitGap(float("nan"), float("nan"), 0.0, 0.0,
                               int(high.sum()), int(low.sum()), True)
     bacc_high = balanced_accuracy(y[high], prob[high])

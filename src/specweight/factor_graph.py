@@ -179,10 +179,12 @@ def spectral_basis(lap: np.ndarray, m: int | str = "auto", eig: EigenDecompositi
 
     Eigenpairs with eigenvalue <= NULL_SPACE_TOL (one per connected component)
     are discarded before counting m. The retained columns are projected
-    against the exact component-indicator null space: Jacobi keeps them nearly
-    orthogonal to it already, but the deflation pins the zero-column-sum
-    property down to rounding error regardless of how small the leading
-    retained eigenvalue is. m="auto" applies select_m_changepoint.
+    against the exact component-indicator null space. The eigensolver leaves
+    them orthogonal to it only up to rounding error scaled by ||L|| over the
+    smallest retained eigenvalue; the deflation pins the zero-column-sum
+    property down to rounding error however small that eigenvalue is.
+    m="auto" applies select_m_changepoint and raises DataError when the
+    graph has fewer than 2 non-null eigenvalues to choose from.
     """
     lap = as_square_matrix(lap)
     eig = eig if eig is not None else symmetric_eigen(lap)
@@ -191,7 +193,10 @@ def spectral_basis(lap: np.ndarray, m: int | str = "auto", eig: EigenDecompositi
     vectors = eig.eigenvectors[:, nonnull]
 
     if m == "auto":
-        m = select_m_changepoint(values)
+        try:
+            m = select_m_changepoint(values)
+        except ValueError as exc:
+            raise DataError(f"m='auto': {exc}; set m explicitly") from None
     if not isinstance(m, (int, np.integer)) or isinstance(m, bool):
         raise ValueError(f"m must be an integer or 'auto', got {m!r}")
     m = int(m)

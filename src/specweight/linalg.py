@@ -1,19 +1,16 @@
-"""Dense symmetric eigensolver and small matrix helpers.
+"""Validated dense symmetric eigendecomposition.
 
 Matrices are plain float64 numpy arrays (row-major); vectors are 1-D arrays.
 
-The eigensolver is cyclic Jacobi with a fixed round-robin rotation schedule:
-each sweep visits every index pair exactly once, in batches of mutually
-disjoint rotations so the per-rotation work vectorizes. Disjoint rotations do
-not touch each other's pivot entries, so a batched sweep applies exactly the
-same rotations as the sequential one. The iteration is carried one-sidedly,
-maintaining V (the accumulated rotations) and W = A V and reading pivot
-entries of V^T A V as row dot products; this keeps every update a contiguous
-row operation, which is what makes the O(n^3)-per-sweep cost acceptable at
-the few-hundred-sample scale this package targets. Jacobi was chosen over
-faster reductions because the rotation product gives machine-precision
-orthogonality of the eigenvector matrix, which downstream graph-spectrum
-invariants depend on.
+`symmetric_eigen` checks its input (square, finite, symmetric to
+SYMMETRY_TOL), symmetrizes it exactly and hands it to numpy's LAPACK routine
+(`dsyevd`, divide and conquer). Eigenvector signs are then fixed by
+`fix_column_signs`, so the output depends only on the input bits and the
+LAPACK build and its thread count. The eigenvectors are orthonormal to a few
+units of rounding. Eigenvalues carry an absolute error of about ||m|| times
+machine epsilon, so those far below ||m|| lose relative accuracy;
+`factor_graph.spectral_basis` therefore deflates the Laplacian's null space
+exactly instead of trusting its near-zero eigenvectors.
 """
 
 from __future__ import annotations
@@ -25,12 +22,10 @@ import numpy as np
 from .errors import NumericalError
 
 SYMMETRY_TOL = 1e-10
-CONVERGENCE_TOL = 1e-12
-MAX_SWEEPS = 100
 
 
 class ConvergenceError(NumericalError):
-    """Eigensolver failed to reach the off-diagonal tolerance within the sweep cap."""
+    """LAPACK's eigensolver reported that it did not converge."""
 
 
 @dataclass(frozen=True)
@@ -55,15 +50,6 @@ def as_square_matrix(m) -> np.ndarray:
     return m
 
 
-def matvec(m, v) -> np.ndarray:
-    """Matrix-vector product with an explicit dimension check."""
-    m = np.asarray(m, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if m.ndim != 2 or v.ndim != 1 or m.shape[1] != v.shape[0]:
-        raise ValueError(f"dimension mismatch: {m.shape} @ {v.shape}")
-    return m @ v
-
-
 def fix_column_signs(v: np.ndarray) -> np.ndarray:
     """Flip each column so its largest-magnitude entry is positive.
 
@@ -78,96 +64,24 @@ def fix_column_signs(v: np.ndarray) -> np.ndarray:
     return v * signs
 
 
-def _round_robin_rounds(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Rotation schedule: rounds of disjoint pairs covering every (p, q),
-    p < q, exactly once per sweep (circle method; odd n gets a bye seat)."""
-    m = n if n % 2 == 0 else n + 1
-    seats = list(range(m))
-    rounds = []
-    for _ in range(m - 1):
-        ps, qs = [], []
-        for i in range(m // 2):
-            a, b = seats[i], seats[m - 1 - i]
-            if a < n and b < n:
-                ps.append(min(a, b))
-                qs.append(max(a, b))
-        rounds.append((np.asarray(ps, dtype=np.intp), np.asarray(qs, dtype=np.intp)))
-        seats = [seats[0], seats[-1]] + seats[1:-1]
-    return rounds
-
-
-def _off_diagonal_norm(a: np.ndarray) -> float:
-    off = a.copy()
-    np.fill_diagonal(off, 0.0)
-    return float(np.sqrt(np.sum(off * off)))
-
-
 def symmetric_eigen(m) -> EigenDecomposition:
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+    """Full eigendecomposition of a symmetric matrix by LAPACK `dsyevd`.
 
-    Convergence: off-diagonal Frobenius norm of the rotated matrix below
-    CONVERGENCE_TOL, measured relative to max(1, ||m||_F); the absolute
-    reading is unreachable in float64 once ||m|| is large. Deterministic for
-    identical input bits (fixed sweep ordering, no randomness).
+    Eigenvalues come back ascending. Deterministic for identical input bits
+    at a fixed BLAS thread count; across thread counts results agree to
+    rounding error.
 
-    Raises ValueError for non-square or asymmetric input and ConvergenceError
-    if MAX_SWEEPS sweeps do not reach the tolerance.
+    Raises ValueError for empty, non-square, non-finite or asymmetric input
+    and ConvergenceError if LAPACK reports a failure.
     """
     m = as_square_matrix(m)
-    n = m.shape[0]
-    if n == 0:
+    if m.shape[0] == 0:
         raise ValueError("empty matrix")
-    asym = float(np.max(np.abs(m - m.T))) if n > 1 else 0.0
+    asym = float(np.max(np.abs(m - m.T)))
     if asym > SYMMETRY_TOL:
         raise ValueError(f"matrix is not symmetric: max |m - m^T| = {asym:.3e}")
-
-    a = (m + m.T) / 2.0
-    if n == 1:
-        return EigenDecomposition(a[0].copy(), np.eye(1))
-
-    wt = a.copy()    # row j of wt is column j of W = A V
-    vt = np.eye(n)   # row j of vt is column j of V
-    tol = CONVERGENCE_TOL * max(1.0, float(np.sqrt(np.sum(a * a))))
-    rounds = _round_robin_rounds(n)
-
-    for _ in range(MAX_SWEEPS):
-        s = vt @ wt.T
-        off = _off_diagonal_norm((s + s.T) / 2.0)
-        if off < tol:
-            break
-        # Threshold pivoting: within this sweep, skip pairs whose pivot is
-        # negligible against the current off-diagonal mass. The threshold
-        # shrinks with off, so skipped pivots never block convergence.
-        skip_tol = max(tol / n, off / (8.0 * n))
-        for ps, qs in rounds:
-            apq = np.einsum("ij,ij->i", vt[ps], wt[qs])
-            active = np.abs(apq) > skip_tol
-            if not np.any(active):
-                continue
-            ps = ps[active]
-            qs = qs[active]
-            apq = apq[active]
-            app = np.einsum("ij,ij->i", vt[ps], wt[ps])
-            aqq = np.einsum("ij,ij->i", vt[qs], wt[qs])
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                tau = (aqq - app) / (2.0 * apq)
-                t = np.where(
-                    tau >= 0.0,
-                    1.0 / (tau + np.hypot(1.0, tau)),
-                    1.0 / (tau - np.hypot(1.0, tau)),
-                )
-            c = (1.0 / np.hypot(1.0, t))[:, None]
-            s_ = (t[:, None]) * c
-            for mt in (wt, vt):
-                rp = mt[ps]
-                rq = mt[qs]
-                mt[ps] = c * rp - s_ * rq
-                mt[qs] = s_ * rp + c * rq
-    else:
-        raise ConvergenceError(
-            f"eigensolver did not converge in {MAX_SWEEPS} sweeps (tol {tol:.3e})"
-        )
-
-    eigenvalues = np.einsum("ij,ij->i", vt, wt)
-    order = np.argsort(eigenvalues, kind="stable")
-    return EigenDecomposition(eigenvalues[order], fix_column_signs(vt[order].T))
+    try:
+        eigenvalues, eigenvectors = np.linalg.eigh((m + m.T) / 2.0)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigensolver did not converge: {exc}") from None
+    return EigenDecomposition(eigenvalues, fix_column_signs(eigenvectors))

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import specweight
 from specweight.cli import main
 from specweight.predictor import load_checkpoint
 
@@ -104,6 +109,47 @@ class TestGraph:
         assert rc == 0
         assert "components" in capsys.readouterr().err
 
+    def test_auto_m_on_too_small_graph_is_data_error(self, tmp_path, capsys):
+        # 2 subjects, k=1: one edge, so a single non-null eigenvalue
+        assert main(["synth", "--out", str(tmp_path), "--n-subjects", "2", "--seed", "1"]) == 0
+        rc = main(["graph", "--cohort", str(tmp_path / "cohort.csv"),
+                   "--out", str(tmp_path / "g"), "--k", "1"])
+        assert rc == 2
+        assert "data error" in capsys.readouterr().err
+
+    def test_thread_count_determinism_scope(self, tmp_path):
+        """Byte-identical at a fixed BLAS thread count; equal to rounding across counts."""
+        cohort = tmp_path / "cohort"
+        # 400 subjects: large enough for threaded LAPACK to change the last bits
+        assert main(["synth", "--out", str(cohort), "--n-subjects", "400",
+                     "--feature-width", "4", "--seed", "3"]) == 0
+        src = str(Path(specweight.__file__).resolve().parents[1])
+
+        def run_graph(threads, name):
+            out = tmp_path / name
+            env = dict(os.environ, PYTHONPATH=src)
+            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+                env[var] = str(threads)
+            subprocess.run(
+                [sys.executable, "-c", "import sys; from specweight.cli import main; sys.exit(main())",
+                 "graph", "--cohort", str(cohort / "cohort.csv"), "--out", str(out),
+                 "--k", "30", "--dump-graph"],
+                env=env, check=True, capture_output=True, timeout=120)
+            return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+        runs = {(t, rep): run_graph(t, f"t{t}_{rep}") for t in (1, 2) for rep in (0, 1)}
+        for t in (1, 2):
+            assert runs[(t, 0)] == runs[(t, 1)]
+
+        def spectrum(files):
+            rows = list(csv.reader(files["eigenspectrum.csv"].decode().splitlines()))
+            return np.array([float(r[1]) for r in rows[1:]])
+
+        lam1, lam2 = spectrum(runs[(1, 0)]), spectrum(runs[(2, 0)])
+        assert np.max(np.abs(lam1 - lam2)) <= 1e-12 * np.max(lam1)
+        m_used = [json.loads(runs[(t, 0)]["graph_summary.json"])["m_used"] for t in (1, 2)]
+        assert m_used[0] == m_used[1]
+
     def test_missing_cohort_is_data_error(self, tmp_path):
         assert main(["graph", "--cohort", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path)]) == 2
@@ -134,6 +180,8 @@ class TestTrain:
         assert manifest["config"]["epochs"] == 2
         assert len(manifest["epoch_losses"]) == 2
         assert np.isfinite(manifest["final_objective"])
+        assert set(manifest["blas_threads"]) == {
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
 
     def test_jtt_weights_binary(self, cohort_dir, tmp_path):
         rc = main(["train", "--cohort", str(cohort_dir / "cohort.csv"),
@@ -235,5 +283,15 @@ class TestUsage:
         monkeypatch.setattr(cli.ev, "cross_validate", explode)
         rc = main(["train", "--cohort", str(cohort_dir / "cohort.csv"),
                    "--out", str(tmp_path), "--epochs", "1"])
+        assert rc == 3
+        assert "numerical failure" in capsys.readouterr().err
+
+    def test_eigensolver_failure_exit_code(self, cohort_dir, tmp_path, monkeypatch, capsys):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        rc = main(["graph", "--cohort", str(cohort_dir / "cohort.csv"),
+                   "--out", str(tmp_path), "--k", "8"])
         assert rc == 3
         assert "numerical failure" in capsys.readouterr().err

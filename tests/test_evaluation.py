@@ -217,6 +217,13 @@ class TestMedianSplit:
         assert gap.n_high == 2 and gap.n_low == 2
         assert gap.bacc_high == 1.0 and gap.bacc_low == 0.0
 
+    def test_one_class_side_degenerate(self):
+        # median 0.55: the high side holds only positives, so its BACC is undefined
+        run = _run_from_arrays([0, 1, 1, 1], [0.2, 0.8, 0.9, 0.7], [0.1, 0.2, 0.9, 1.0])
+        gap = median_split_gap(run)
+        assert gap.degenerate and gap.gap_points == 0.0 and gap.gap_percent == 0.0
+        assert gap.n_high == 2 and gap.n_low == 2
+
     def test_missing_weights_degenerate(self):
         run = _run_from_arrays([0, 1], [0.2, 0.8], [np.nan, np.nan])
         assert median_split_gap(run).degenerate

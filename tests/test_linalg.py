@@ -7,9 +7,9 @@ from specweight.linalg import (
     ConvergenceError,
     EigenDecomposition,
     fix_column_signs,
-    matvec,
     symmetric_eigen,
 )
+from specweight.errors import NumericalError
 
 
 def symmetric_matrices(max_n=12):
@@ -21,21 +21,6 @@ def symmetric_matrices(max_n=12):
         .map(lambda entries: np.array(entries).reshape(int(np.sqrt(len(entries))), -1))
         .map(lambda m: (m + m.T) / 2.0)
     )
-
-
-class TestMatvec:
-    def test_identity(self):
-        assert np.array_equal(matvec(np.eye(3), [1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
-
-    def test_zero_matrix(self):
-        assert np.array_equal(matvec(np.zeros((3, 3)), [4.0, 5.0, 6.0]), np.zeros(3))
-
-    def test_two_by_two(self):
-        assert np.array_equal(matvec([[1.0, 2.0], [3.0, 4.0]], [1.0, 1.0]), [3.0, 7.0])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            matvec(np.eye(3), [1.0, 2.0])
 
 
 class TestSymmetricEigen:
@@ -67,6 +52,19 @@ class TestSymmetricEigen:
         m = np.array([[1.0, 2.0], [2.1, 1.0]])
         with pytest.raises(ValueError):
             symmetric_eigen(m)
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError):
+            symmetric_eigen(np.zeros((0, 0)))
+
+    def test_lapack_failure_is_numerical_error(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(ConvergenceError):
+            symmetric_eigen(np.eye(3))
+        assert issubclass(ConvergenceError, NumericalError)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
@@ -110,7 +108,7 @@ class TestSymmetricEigen:
     def test_eigenpair_residuals(self, m):
         dec = symmetric_eigen(m)
         for k in range(m.shape[0]):
-            resid = matvec(m, dec.eigenvectors[:, k]) - dec.eigenvalues[k] * dec.eigenvectors[:, k]
+            resid = m @ dec.eigenvectors[:, k] - dec.eigenvalues[k] * dec.eigenvectors[:, k]
             assert np.max(np.abs(resid)) < 1e-7
             assert abs(np.linalg.norm(dec.eigenvectors[:, k]) - 1.0) < 1e-8
 
