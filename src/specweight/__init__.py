@@ -38,6 +38,7 @@ from .training import (
     AdamState,
     TrainConfig,
     adam_step,
+    predict,
     train_baseline_none,
     train_jtt,
     train_only_graph,
@@ -54,7 +55,7 @@ __all__ = [
     "adam_step", "balanced_accuracy", "basis_from_factors", "bce_loss",
     "build_graph", "cross_validate", "describe", "f1_score", "generate",
     "grad_a", "laplacian", "mann_whitney_u", "median_split_from_arrays",
-    "median_split_gap", "negativity_penalty", "read_cohort_csv", "select_m_changepoint",
+    "median_split_gap", "negativity_penalty", "predict", "read_cohort_csv", "select_m_changepoint",
     "spectral_basis", "standardize", "stratified_kfold", "subcohort_tables",
     "sweep", "symmetric_eigen", "train_baseline_none", "train_jtt",
     "train_only_graph", "train_spectral", "write_cohort_csv",

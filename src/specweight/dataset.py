@@ -15,6 +15,7 @@ are never part of the model input.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,60 +98,62 @@ def write_cohort_csv(path, data: CohortDataset, factors: FactorTable) -> None:
 
 
 def read_cohort_csv(path) -> tuple[CohortDataset, FactorTable]:
+    """Parse a cohort CSV one subject block at a time, never holding all rows."""
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
-        rows = list(reader)
 
-    if header[:3] != ["subject_id", "visit", "y"]:
-        raise DataError(f"{path}: header must start with subject_id,visit,y")
-    factor_names = [c[2:] for c in header if c.startswith("f_")]
-    feature_cols = [c for c in header if c.startswith("x_")]
-    n_factors = len(factor_names)
-    width = len(feature_cols)
-    if width < 1:
-        raise DataError(f"{path}: no feature columns (x_*)")
-    if header[3:] != [f"f_{n}" for n in factor_names] + feature_cols:
-        raise DataError(f"{path}: columns must be subject_id,visit,y,f_*,x_*")
-    if feature_cols != [f"x_{j}" for j in range(width)]:
-        raise DataError(f"{path}: feature columns must be x_0..x_{width - 1} in order")
-    if not rows:
+        if header[:3] != ["subject_id", "visit", "y"]:
+            raise DataError(f"{path}: header must start with subject_id,visit,y")
+        factor_names = [c[2:] for c in header if c.startswith("f_")]
+        feature_cols = [c for c in header if c.startswith("x_")]
+        n_factors = len(factor_names)
+        width = len(feature_cols)
+        if width < 1:
+            raise DataError(f"{path}: no feature columns (x_*)")
+        if header[3:] != [f"f_{n}" for n in factor_names] + feature_cols:
+            raise DataError(f"{path}: columns must be subject_id,visit,y,f_*,x_*")
+        if feature_cols != [f"x_{j}" for j in range(width)]:
+            raise DataError(f"{path}: feature columns must be x_0..x_{width - 1} in order")
+
+        def subject_id(row):
+            if not row:
+                raise DataError(f"{path}: line {reader.line_num}: blank row")
+            return row[0]
+
+        subjects: list[Subject] = []
+        factor_rows: list[list[float]] = []
+        seen: set[str] = set()
+        for sid, block in itertools.groupby(reader, key=subject_id):
+            if sid in seen:
+                raise DataError(f"{path}: rows for subject {sid} are not contiguous")
+            seen.add(sid)
+            block = list(block)
+            try:
+                visits_idx = [int(r[1]) for r in block]
+                labels = {int(r[2]) for r in block}
+                fvals = [[float(v) for v in r[3:3 + n_factors]] for r in block]
+                feats = np.array([[float(v) for v in r[3 + n_factors:]] for r in block])
+            except (ValueError, IndexError) as exc:
+                raise DataError(f"{path}: malformed row for subject {sid}: {exc}") from None
+            if visits_idx != list(range(len(block))):
+                raise DataError(
+                    f"{path}: subject {sid}: visit indices must be 0..{len(block) - 1}")
+            if len(labels) != 1:
+                raise DataError(f"{path}: subject {sid}: label must be constant across visits")
+            if any(fv != fvals[0] for fv in fvals[1:]):
+                raise DataError(
+                    f"{path}: subject {sid}: factor values must be constant across visits")
+            if feats.shape[1] != width:
+                raise DataError(f"{path}: subject {sid}: wrong feature count")
+            subjects.append(Subject(sid, feats, labels.pop()))
+            factor_rows.append(fvals[0])
+
+    if not subjects:
         raise DataError(f"{path}: no data rows")
-
-    subjects: list[Subject] = []
-    factor_rows: list[list[float]] = []
-    i = 0
-    seen: set[str] = set()
-    while i < len(rows):
-        sid = rows[i][0]
-        if sid in seen:
-            raise DataError(f"{path}: rows for subject {sid} are not contiguous")
-        seen.add(sid)
-        block = []
-        while i < len(rows) and rows[i][0] == sid:
-            block.append(rows[i])
-            i += 1
-        try:
-            visits_idx = [int(r[1]) for r in block]
-            labels = {int(r[2]) for r in block}
-            fvals = [[float(v) for v in r[3:3 + n_factors]] for r in block]
-            feats = np.array([[float(v) for v in r[3 + n_factors:]] for r in block])
-        except (ValueError, IndexError) as exc:
-            raise DataError(f"{path}: malformed row for subject {sid}: {exc}") from None
-        if visits_idx != list(range(len(block))):
-            raise DataError(f"{path}: subject {sid}: visit indices must be 0..{len(block) - 1}")
-        if len(labels) != 1:
-            raise DataError(f"{path}: subject {sid}: label must be constant across visits")
-        if any(fv != fvals[0] for fv in fvals[1:]):
-            raise DataError(f"{path}: subject {sid}: factor values must be constant across visits")
-        if feats.shape[1] != width:
-            raise DataError(f"{path}: subject {sid}: wrong feature count")
-        subjects.append(Subject(sid, feats, labels.pop()))
-        factor_rows.append(fvals[0])
-
     data = CohortDataset(tuple(subjects))
     factors = FactorTable(np.array(factor_rows, dtype=np.float64), tuple(factor_names))
     return data, factors

@@ -221,7 +221,7 @@ def cross_validate(data: CohortDataset, factors: FactorTable | None, cfg: tr.Tra
         else:
             result = tr.train_baseline_none(data, fold_cfg, split, model_factory)
 
-        prob = np.array([result.model.forward(s.visits)[0] for s in data.subjects])
+        prob = tr.predict(data, result.model, np.arange(data.n_samples), cfg.batch_size)
         if result.weight_field is not None:
             weights = result.weight_field.weights()
         elif cfg.scheme == "jtt":

@@ -1,10 +1,14 @@
 """Sequence-to-one binary classifiers with hand-written gradients.
 
-The main model runs a gated recurrent layer over a subject's visit sequence
-in chronological order, then two fully connected layers producing a single
-logit. Forward passes cache activations; backward passes run exact
-reverse-mode differentiation through the dense layers and back through time.
-A last-visit logistic model with the same parameter interface serves as a
+The main model runs a gated recurrent layer over each subject's visit
+sequence in chronological order, then two fully connected layers producing a
+single logit. Both models work on a mini-batch: `forward` takes a list of
+`(visits, features)` arrays of any lengths and returns one probability per
+sequence plus a cache; `backward` takes one upstream value per sequence and
+returns the parameter gradient summed over the batch. The recurrence packs
+the batch longest first, so the rows still running at each step form a
+prefix and finished rows keep their hidden state (the pack_padded_sequence
+idiom). A last-visit logistic model with the same interface serves as a
 cheap stand-in where test suites need many training runs.
 """
 
@@ -25,17 +29,33 @@ def _sigmoid(x):
     return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def bce_loss(p: float, y: int) -> float:
-    """Binary cross-entropy with the probability clamped to [1e-7, 1 - 1e-7]."""
-    pc = min(max(p, PROB_CLAMP), 1.0 - PROB_CLAMP)
+def bce_loss(p, y):
+    """Elementwise binary cross-entropy, probability clamped to [1e-7, 1 - 1e-7].
+
+    Scalars give a scalar; NaN probabilities give NaN.
+    """
+    pc = np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
     return -(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc))
 
 
-def bce_grad_prob(p: float, y: int) -> float:
-    """d bce_loss / d p; zero where the clamp is active."""
-    if p <= PROB_CLAMP or p >= 1.0 - PROB_CLAMP:
-        return 0.0
-    return (p - y) / (p * (1.0 - p))
+def bce_grad_prob(p, y):
+    """Elementwise d bce_loss / d p; zero where the clamp is active, NaN for NaN."""
+    p = np.asarray(p, dtype=np.float64)
+    clamped = (p <= PROB_CLAMP) | (p >= 1.0 - PROB_CLAMP)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        grad = (p - y) / (p * (1.0 - p))
+    return np.where(clamped, 0.0, grad)[()]
+
+
+def _as_batch(sequences, width: int) -> list[np.ndarray]:
+    """Validated float64 arrays from a non-empty list of (visits, width) sequences."""
+    batch = [np.asarray(s, dtype=np.float64) for s in sequences]
+    if not batch:
+        raise ValueError("empty batch: expected at least one sequence")
+    for x in batch:
+        if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] != width:
+            raise ValueError(f"expected (visits, {width}) sequences, got shape {x.shape}")
+    return batch
 
 
 class RecurrentClassifier:
@@ -100,86 +120,95 @@ class RecurrentClassifier:
             p[...] = flat[offset:offset + p.size].reshape(p.shape)
             offset += p.size
 
-    def forward(self, sequence):
-        """Probability for one visit sequence plus the cache for backward."""
-        x = np.asarray(sequence, dtype=np.float64)
-        if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] != self.feature_width:
-            raise ValueError(
-                f"expected a (visits, {self.feature_width}) sequence, got shape {x.shape}"
-            )
+    def forward(self, sequences):
+        """Probabilities for a batch of visit sequences plus the cache for backward."""
+        batch = _as_batch(sequences, self.feature_width)
+        lengths = np.array([x.shape[0] for x in batch])
+        # Longest first; the stable sort keeps ties in input order.
+        order = np.argsort(-lengths, kind="stable")
+        # running[t]: rows of the sorted batch that still have a visit at step t.
+        running = (lengths[order][None, :] > np.arange(lengths.max())[:, None]).sum(axis=1)
+        # Packed time-major layout: step t occupies rows offsets[t]:offsets[t+1],
+        # holding visit t of the first running[t] sorted sequences.
+        offsets = np.concatenate([[0], np.cumsum(running)])
+        starts = np.cumsum(lengths) - lengths
+        packed = np.concatenate([starts[order[:n]] + t for t, n in enumerate(running)])
+        x = np.concatenate(batch)[packed]
+
         # Input projections for all visits at once; the recurrence stays sequential.
         pz = x @ self.wz.T + self.bz
         pr = x @ self.wr.T + self.br
         ph = x @ self.wh.T + self.bh
-        h = np.zeros(self.hidden)
-        steps = []
-        for t in range(x.shape[0]):
-            z = _sigmoid(pz[t] + self.uz @ h)
-            r = _sigmoid(pr[t] + self.ur @ h)
-            g = np.tanh(ph[t] + self.uh @ (r * h))
-            steps.append((h, z, r, g))
-            h = (1.0 - z) * g + z * h
-        a1 = self.w1 @ h + self.b1
+        h_prev = np.empty_like(pz)
+        z = np.empty_like(pz)
+        r = np.empty_like(pz)
+        g = np.empty_like(pz)
+        h = np.zeros((len(batch), self.hidden))
+        for t, n in enumerate(running):
+            rows = slice(offsets[t], offsets[t + 1])
+            h_prev[rows] = h[:n]
+            hp = h_prev[rows]
+            z[rows] = _sigmoid(pz[rows] + hp @ self.uz.T)
+            r[rows] = _sigmoid(pr[rows] + hp @ self.ur.T)
+            g[rows] = np.tanh(ph[rows] + (r[rows] * hp) @ self.uh.T)
+            h[:n] = (1.0 - z[rows]) * g[rows] + z[rows] * hp
+        a1 = h @ self.w1.T + self.b1
         q = np.maximum(a1, 0.0)
-        logit = float(self.w2 @ q + self.b2[0])
-        if not np.isfinite(logit):
+        logits = q @ self.w2 + self.b2[0]
+        if not np.all(np.isfinite(logits)):
             raise NumericalError("non-finite activation in forward pass")
-        p = float(_sigmoid(np.array([logit]))[0])
-        return p, (x, steps, h, a1, q, p)
+        p = _sigmoid(logits)
+        probs = np.empty_like(p)
+        probs[order] = p
+        return probs, (x, order, running, offsets, h_prev, z, r, g, h, a1, q, p)
 
-    def backward(self, cache, d_prob: float) -> np.ndarray:
-        """Flat parameter gradient given d loss / d probability."""
-        x, steps, h_final, a1, q, p = cache
-        n_visits = x.shape[0]
+    def backward(self, cache, d_prob) -> np.ndarray:
+        """Flat parameter gradient summed over the batch, given d loss / d
+        probability per sequence (a scalar applies to every sequence)."""
+        x, order, running, offsets, h_prev, z, r, g, h_final, a1, q, p = cache
+        d_prob = np.broadcast_to(np.asarray(d_prob, dtype=np.float64), order.shape)[order]
         dlogit = d_prob * p * (1.0 - p)
-        dw2 = dlogit * q
-        db2 = np.array([dlogit])
-        dq = dlogit * self.w2
-        da1 = dq * (a1 > 0.0)
-        dw1 = np.outer(da1, h_final)
-        db1 = da1
-        dh = self.w1.T @ da1
+        dw2 = dlogit @ q
+        db2 = np.array([dlogit.sum()])
+        da1 = np.outer(dlogit, self.w2) * (a1 > 0.0)
+        dw1 = da1.T @ h_final
+        db1 = da1.sum(axis=0)
+        dh = da1 @ self.w1
 
-        daz_all = np.empty((n_visits, self.hidden))
-        dar_all = np.empty((n_visits, self.hidden))
-        dah_all = np.empty((n_visits, self.hidden))
-        h_prev_all = np.empty((n_visits, self.hidden))
-        rh_all = np.empty((n_visits, self.hidden))
+        daz = np.empty_like(z)
+        dar = np.empty_like(z)
+        dah = np.empty_like(z)
+        for t in range(len(running) - 1, -1, -1):
+            n = running[t]
+            rows = slice(offsets[t], offsets[t + 1])
+            hp, z_t, r_t, g_t, dh_t = h_prev[rows], z[rows], r[rows], g[rows], dh[:n]
+            dz = dh_t * (hp - g_t)
+            dg = dh_t * (1.0 - z_t)
+            dh_prev = dh_t * z_t
 
-        for t in range(n_visits - 1, -1, -1):
-            h_prev, z, r, g = steps[t]
-            h_prev_all[t] = h_prev
-            rh_all[t] = r * h_prev
-            dz = dh * (h_prev - g)
-            dg = dh * (1.0 - z)
-            dh_prev = dh * z
+            dah[rows] = dg * (1.0 - g_t * g_t)
+            drh = dah[rows] @ self.uh
+            dr = drh * hp
+            dh_prev += drh * r_t
 
-            dah = dg * (1.0 - g * g)
-            dah_all[t] = dah
-            drh = self.uh.T @ dah
-            dr = drh * h_prev
-            dh_prev = dh_prev + drh * r
+            daz[rows] = dz * z_t * (1.0 - z_t)
+            dh_prev += daz[rows] @ self.uz
 
-            daz = dz * z * (1.0 - z)
-            daz_all[t] = daz
-            dh_prev = dh_prev + self.uz.T @ daz
+            dar[rows] = dr * r_t * (1.0 - r_t)
+            dh_prev += dar[rows] @ self.ur
 
-            dar = dr * r * (1.0 - r)
-            dar_all[t] = dar
-            dh_prev = dh_prev + self.ur.T @ dar
+            dh[:n] = dh_prev
 
-            dh = dh_prev
-
-        # Input/recurrent weight gradients accumulate over time as single matmuls.
-        dwz = daz_all.T @ x
-        dwr = dar_all.T @ x
-        dwh = dah_all.T @ x
-        duz = daz_all.T @ h_prev_all
-        dur = dar_all.T @ h_prev_all
-        duh = dah_all.T @ rh_all
-        dbz = daz_all.sum(axis=0)
-        dbr = dar_all.sum(axis=0)
-        dbh = dah_all.sum(axis=0)
+        # Input/recurrent weight gradients accumulate over visits as single matmuls.
+        dwz = daz.T @ x
+        dwr = dar.T @ x
+        dwh = dah.T @ x
+        duz = daz.T @ h_prev
+        dur = dar.T @ h_prev
+        duh = dah.T @ (r * h_prev)
+        dbz = daz.sum(axis=0)
+        dbr = dar.sum(axis=0)
+        dbh = dah.sum(axis=0)
 
         grads = [dwz, duz, dbz, dwr, dur, dbr, dwh, duh, dbh, dw1, db1, dw2, db2]
         return np.concatenate([g.ravel() for g in grads])
@@ -215,23 +244,18 @@ class LogisticFallback:
         self.w = flat[:-1].copy()
         self.b = flat[-1:].copy()
 
-    def forward(self, sequence):
-        x = np.asarray(sequence, dtype=np.float64)
-        if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] != self.feature_width:
-            raise ValueError(
-                f"expected a (visits, {self.feature_width}) sequence, got shape {x.shape}"
-            )
-        last = x[-1]
-        logit = float(self.w @ last + self.b[0])
-        if not np.isfinite(logit):
+    def forward(self, sequences):
+        last = np.array([x[-1] for x in _as_batch(sequences, self.feature_width)])
+        logits = last @ self.w + self.b[0]
+        if not np.all(np.isfinite(logits)):
             raise NumericalError("non-finite activation in forward pass")
-        p = float(_sigmoid(np.array([logit]))[0])
+        p = _sigmoid(logits)
         return p, (last, p)
 
-    def backward(self, cache, d_prob: float) -> np.ndarray:
+    def backward(self, cache, d_prob) -> np.ndarray:
         last, p = cache
-        dlogit = d_prob * p * (1.0 - p)
-        return np.concatenate([dlogit * last, [dlogit]])
+        dlogit = np.broadcast_to(np.asarray(d_prob, dtype=np.float64), p.shape) * p * (1.0 - p)
+        return np.concatenate([dlogit @ last, [dlogit.sum()]])
 
 
 def save_checkpoint(model: RecurrentClassifier, path) -> None:

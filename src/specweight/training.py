@@ -1,11 +1,14 @@
 """Weighted training of sequence classifiers, plus baseline weighting schemes.
 
-One mini-batch step computes per-sample losses once and feeds two optimizers
-from that single backward pass: the model parameters move under the weighted
-loss gradient (weights treated as constants) and the weight-field coefficients
-move under the loss-plus-hinge gradient (losses treated as constants). Test
-rows never enter a batch, so trained parameters and inferred test weights are
-independent of test features and labels.
+One mini-batch step runs one batched forward pass, computes the per-sample
+losses once and feeds two optimizers from that single backward pass: the
+model parameters move under the weighted loss gradient (weights treated as
+constants, one upstream value per sample) and the weight-field coefficients
+move under the loss-plus-hinge gradient (losses treated as constants).
+Scoring outside the step (objectives, JTT stage one, CV predictions) goes
+through `predict`, which runs the model over chunks of `batch_size`
+subjects. Test rows never enter a training batch, so trained parameters and
+inferred test weights are independent of test features and labels.
 
 Schemes:
     none        uniform unit weights
@@ -118,13 +121,19 @@ def _split_arrays(data: CohortDataset, split):
     return np.sort(train_rows), np.sort(test_rows)
 
 
-def _objective(data, model, rows, weights) -> float:
+def predict(data: CohortDataset, model, rows, chunk: int) -> np.ndarray:
+    """Probabilities for the subjects in `rows`, `chunk` sequences per forward call."""
+    rows = np.asarray(rows, dtype=np.intp)
+    return np.concatenate([
+        model.forward([data.subjects[i].visits for i in rows[start:start + chunk]])[0]
+        for start in range(0, rows.size, chunk)
+    ])
+
+
+def _objective(data, model, rows, weights, chunk) -> float:
     """Mean per-sample weighted loss plus hinge penalty over the given rows."""
-    total = 0.0
-    for w, i in zip(weights, rows):
-        p, _ = model.forward(data.subjects[i].visits)
-        total += w * bce_loss(p, data.subjects[i].label)
-    return (total + negativity_penalty(weights)) / len(rows)
+    losses = bce_loss(predict(data, model, rows, chunk), data.labels[rows])
+    return (float(weights @ losses) + negativity_penalty(weights)) / len(rows)
 
 
 def _run_loop(data, cfg, train_rows, seed, model_factory, batch_weights, after_batch=None):
@@ -138,8 +147,10 @@ def _run_loop(data, cfg, train_rows, seed, model_factory, batch_weights, after_b
     model = model_factory(data.feature_width, rng_for(seed, "init"))
     opt = AdamState.zeros(model.n_params)
     shuffle = rng_for(seed, "shuffle")
+    labels = data.labels
     history = TrainHistory()
-    history.initial_objective = _objective(data, model, train_rows, batch_weights(train_rows))
+    history.initial_objective = _objective(data, model, train_rows, batch_weights(train_rows),
+                                           cfg.batch_size)
 
     for epoch in range(cfg.epochs):
         order = shuffle.permutation(train_rows)
@@ -148,14 +159,9 @@ def _run_loop(data, cfg, train_rows, seed, model_factory, batch_weights, after_b
             rows = order[start:start + cfg.batch_size]
             b = rows.size
             w = batch_weights(rows)
-            losses = np.empty(b)
-            grad = np.zeros(model.n_params)
-            for j, i in enumerate(rows):
-                subject = data.subjects[i]
-                p, cache = model.forward(subject.visits)
-                losses[j] = bce_loss(p, subject.label)
-                upstream = w[j] * bce_grad_prob(p, subject.label) / b
-                grad += model.backward(cache, upstream)
+            probs, cache = model.forward([data.subjects[i].visits for i in rows])
+            losses = bce_loss(probs, labels[rows])
+            grad = model.backward(cache, w * bce_grad_prob(probs, labels[rows]) / b)
             model.set_flat_params(adam_step(opt, model.flat_params(), grad, cfg.lr_model))
             if after_batch is not None:
                 after_batch(rows, losses)
@@ -167,7 +173,8 @@ def _run_loop(data, cfg, train_rows, seed, model_factory, batch_weights, after_b
 
     if not np.all(np.isfinite(model.flat_params())):
         raise NumericalError("non-finite model parameters after training")
-    history.final_objective = _objective(data, model, train_rows, batch_weights(train_rows))
+    history.final_objective = _objective(data, model, train_rows, batch_weights(train_rows),
+                                         cfg.batch_size)
     return model, history
 
 
@@ -230,10 +237,9 @@ def train_jtt(data: CohortDataset, cfg: TrainConfig, split,
     stage1 = train_baseline_none(data, cfg, split, model_factory)
 
     weight_by_row = np.ones(data.n_samples)
-    for i in train_rows:
-        p, _ = stage1.model.forward(data.subjects[i].visits)
-        correct = (p >= 0.5) == bool(data.subjects[i].label)
-        weight_by_row[i] = 1.0 if correct else cfg.jtt_lambda
+    stage1_probs = predict(data, stage1.model, train_rows, cfg.batch_size)
+    correct = (stage1_probs >= 0.5) == (data.labels[train_rows] == 1)
+    weight_by_row[train_rows] = np.where(correct, 1.0, cfg.jtt_lambda)
 
     model, history = _run_loop(data, cfg, train_rows, cfg.seed + 1, model_factory,
                                lambda rows: weight_by_row[rows])

@@ -93,7 +93,7 @@ def test_criterion_3_joint_gradient_oracle():
         def objective(theta, coeffs):
             model.set_flat_params(theta)
             w = c + basis.basis @ coeffs
-            total = sum(w[i] * bce_loss(model.forward(s.visits)[0], s.label)
+            total = sum(w[i] * bce_loss(model.forward([s.visits])[0][0], s.label)
                         for i, s in enumerate(data.subjects))
             return total + negativity_penalty(w)
 
@@ -102,9 +102,9 @@ def test_criterion_3_joint_gradient_oracle():
         losses = np.empty(6)
         grad_theta = np.zeros(model.n_params)
         for i, s in enumerate(data.subjects):
-            p, cache = model.forward(s.visits)
-            losses[i] = bce_loss(p, s.label)
-            grad_theta += w0[i] * model.backward(cache, bce_grad_prob(p, s.label))
+            p, cache = model.forward([s.visits])
+            losses[i] = bce_loss(p[0], s.label)
+            grad_theta += w0[i] * model.backward(cache, bce_grad_prob(p[0], s.label))
         grad_coeffs = grad_a(fld, losses, rows=np.arange(6))
         analytic = np.concatenate([grad_theta, grad_coeffs])
 

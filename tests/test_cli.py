@@ -18,6 +18,22 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
+SRC = str(Path(specweight.__file__).resolve().parents[1])
+
+
+def run_at_threads(args, threads, out):
+    """Run the CLI in a subprocess with every BLAS thread variable set to
+    `threads`; return the bytes of each file it wrote to `out`."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = str(threads)
+    subprocess.run(
+        [sys.executable, "-c", "import sys; from specweight.cli import main; sys.exit(main())",
+         *args, "--out", str(out)],
+        env=env, check=True, capture_output=True, timeout=120)
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
 @pytest.fixture(scope="module")
 def cohort_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("synth")
@@ -117,27 +133,30 @@ class TestGraph:
         assert rc == 2
         assert "data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("position, bad_row", [(3, ""), (None, ""), (3, "S_short,0")],
+                             ids=["blank", "trailing-blank", "short"])
+    def test_blank_or_short_row_is_data_error(self, cohort_dir, tmp_path, position, bad_row):
+        lines = (cohort_dir / "cohort.csv").read_text().splitlines()
+        lines.insert(len(lines) if position is None else position, bad_row)
+        cohort = tmp_path / "cohort.csv"
+        cohort.write_text("\n".join(lines) + "\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", "from specweight.cli import entrypoint; entrypoint()",
+             "graph", "--cohort", str(cohort), "--out", str(tmp_path / "g"), "--k", "8"],
+            env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("data error:")
+        assert "Traceback" not in proc.stderr
+
     def test_thread_count_determinism_scope(self, tmp_path):
         """Byte-identical at a fixed BLAS thread count; equal to rounding across counts."""
         cohort = tmp_path / "cohort"
         # 400 subjects: large enough for threaded LAPACK to change the last bits
         assert main(["synth", "--out", str(cohort), "--n-subjects", "400",
                      "--feature-width", "4", "--seed", "3"]) == 0
-        src = str(Path(specweight.__file__).resolve().parents[1])
-
-        def run_graph(threads, name):
-            out = tmp_path / name
-            env = dict(os.environ, PYTHONPATH=src)
-            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-                env[var] = str(threads)
-            subprocess.run(
-                [sys.executable, "-c", "import sys; from specweight.cli import main; sys.exit(main())",
-                 "graph", "--cohort", str(cohort / "cohort.csv"), "--out", str(out),
-                 "--k", "30", "--dump-graph"],
-                env=env, check=True, capture_output=True, timeout=120)
-            return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-
-        runs = {(t, rep): run_graph(t, f"t{t}_{rep}") for t in (1, 2) for rep in (0, 1)}
+        args = ["graph", "--cohort", str(cohort / "cohort.csv"), "--k", "30", "--dump-graph"]
+        runs = {(t, rep): run_at_threads(args, t, tmp_path / f"t{t}_{rep}")
+                for t in (1, 2) for rep in (0, 1)}
         for t in (1, 2):
             assert runs[(t, 0)] == runs[(t, 1)]
 
@@ -191,6 +210,25 @@ class TestTrain:
         rows = read_csv(tmp_path / "weights.csv")
         assert {r[2] for r in rows[1:]} == {"train"}  # no test weights for jtt
         assert {float(r[3]) for r in rows[1:]} <= {1.0, 2.0}
+
+    def test_thread_count_determinism_scope(self, tmp_path):
+        """Byte-identical at a fixed BLAS thread count; equal to rounding across counts."""
+        cohort = tmp_path / "cohort"
+        assert main(["synth", "--out", str(cohort), "--n-subjects", "400",
+                     "--feature-width", "4", "--seed", "3"]) == 0
+        args = ["train", "--cohort", str(cohort / "cohort.csv"), "--k", "30",
+                "--epochs", "3", "--seed", "5"]
+        runs = {(t, rep): run_at_threads(args, t, tmp_path / f"t{t}_{rep}")
+                for t in (1, 2) for rep in (0, 1)}
+        for t in (1, 2):
+            assert runs[(t, 0)] == runs[(t, 1)]
+
+        for name in ("predictions.csv", "weights.csv"):
+            one, two = (list(csv.reader(runs[(t, 0)][name].decode().splitlines()))
+                        for t in (1, 2))
+            assert [r[:-1] for r in one] == [r[:-1] for r in two]
+            values = [np.array([float(r[-1]) for r in rows[1:]]) for rows in (one, two)]
+            assert np.max(np.abs(values[0] - values[1])) <= 1e-12
 
     def test_unknown_scheme_is_usage_error(self, cohort_dir, tmp_path, capsys):
         rc = main(["train", "--cohort", str(cohort_dir / "cohort.csv"),

@@ -11,22 +11,41 @@ from specweight.predictor import (
 )
 
 
-def gradient_check(model, seq, y, h=1e-6):
+def prob(model, seq):
+    """Probability for one sequence, through a batch of one."""
+    return model.forward([seq])[0][0]
+
+
+def relative_error(a, b):
+    return np.linalg.norm(a - b) / max(np.linalg.norm(a) + np.linalg.norm(b), 1e-12)
+
+
+def finite_difference(model, objective, h=1e-6):
     theta = model.flat_params()
-    p, cache = model.forward(seq)
-    analytic = model.backward(cache, bce_grad_prob(p, y))
     fd = np.empty_like(theta)
     for i in range(theta.size):
         up, down = theta.copy(), theta.copy()
         up[i] += h
         down[i] -= h
         model.set_flat_params(up)
-        lp = bce_loss(model.forward(seq)[0], y)
+        lp = objective()
         model.set_flat_params(down)
-        lm = bce_loss(model.forward(seq)[0], y)
+        lm = objective()
         fd[i] = (lp - lm) / (2 * h)
     model.set_flat_params(theta)
-    return np.linalg.norm(analytic - fd) / max(np.linalg.norm(analytic) + np.linalg.norm(fd), 1e-12)
+    return fd
+
+
+def gradient_check(model, seq, y, h=1e-6):
+    p, cache = model.forward([seq])
+    analytic = model.backward(cache, bce_grad_prob(p, y))
+    fd = finite_difference(model, lambda: bce_loss(prob(model, seq), y), h)
+    return relative_error(analytic, fd)
+
+
+def ragged_batch(rng, width, lengths=(3, 1, 6, 2, 5, 4)):
+    """Sequences of the given lengths, deliberately not sorted by length."""
+    return [rng.normal(size=(n, width)) for n in lengths]
 
 
 class TestBCE:
@@ -58,7 +77,7 @@ class TestRecurrentClassifier:
     def test_zero_parameters_give_half(self):
         m = RecurrentClassifier(4, 5, 3)
         m.set_flat_params(np.zeros(m.n_params))
-        p, _ = m.forward(np.random.default_rng(0).normal(size=(3, 4)))
+        p = prob(m, np.random.default_rng(0).normal(size=(3, 4)))
         assert p == 0.5
 
     def test_single_visit_matches_manual_cell(self):
@@ -76,7 +95,7 @@ class TestRecurrentClassifier:
         h = (1 - z) * g + z * h0
         q = np.maximum(m.w1 @ h + m.b1, 0.0)
         expected = sig(m.w2 @ q + m.b2[0])
-        p, _ = m.forward(x)
+        p = prob(m, x)
         assert p == pytest.approx(expected, abs=1e-12)
 
     def test_gradient_check(self):
@@ -89,7 +108,7 @@ class TestRecurrentClassifier:
     def test_zero_upstream_zero_gradient(self):
         rng = np.random.default_rng(4)
         m = RecurrentClassifier(4, 5, 4, rng=rng)
-        p, cache = m.forward(rng.normal(size=(2, 4)))
+        p, cache = m.forward([rng.normal(size=(2, 4))])
         assert np.array_equal(m.backward(cache, 0.0), np.zeros(m.n_params))
 
     def test_forward_deterministic(self):
@@ -97,23 +116,23 @@ class TestRecurrentClassifier:
         m1 = RecurrentClassifier(6, 8, 4, rng=np.random.default_rng(99))
         m2 = RecurrentClassifier(6, 8, 4, rng=np.random.default_rng(99))
         assert np.array_equal(m1.flat_params(), m2.flat_params())
-        assert m1.forward(seq)[0] == m2.forward(seq)[0]
+        assert prob(m1, seq) == prob(m2, seq)
 
     def test_probability_bounds(self):
         rng = np.random.default_rng(6)
         m = RecurrentClassifier(3, 4, 2, rng=rng)
         m.set_flat_params(m.flat_params() * 50.0)  # saturating regime
         for scale in (1.0, 1e3, 1e6):
-            p, _ = m.forward(rng.normal(size=(3, 3)) * scale)
+            p = prob(m, rng.normal(size=(3, 3)) * scale)
             assert 0.0 <= p <= 1.0
             assert np.isfinite(bce_loss(p, 1)) and np.isfinite(bce_loss(p, 0))
 
     def test_width_mismatch(self):
         m = RecurrentClassifier(4, 5, 3)
         with pytest.raises(ValueError):
-            m.forward(np.zeros((2, 3)))
+            m.forward([np.zeros((2, 3))])
         with pytest.raises(ValueError):
-            m.forward(np.zeros((0, 4)))
+            m.forward([np.zeros((0, 4))])
 
     def test_flat_param_roundtrip(self):
         rng = np.random.default_rng(7)
@@ -128,7 +147,7 @@ class TestLogisticFallback:
     def test_zero_parameters_give_half(self):
         lf = LogisticFallback(5)
         lf.set_flat_params(np.zeros(6))
-        assert lf.forward(np.ones((3, 5)))[0] == 0.5
+        assert prob(lf, np.ones((3, 5))) == 0.5
 
     def test_uses_last_visit_only(self):
         rng = np.random.default_rng(8)
@@ -136,7 +155,7 @@ class TestLogisticFallback:
         seq = rng.normal(size=(3, 4))
         altered = seq.copy()
         altered[:-1] += 100.0
-        assert lf.forward(seq)[0] == lf.forward(altered)[0]
+        assert prob(lf, seq) == prob(lf, altered)
 
     def test_fits_separable_data(self):
         # oracle run: noiseless separable labels must be nearly perfectly learnable
@@ -156,12 +175,70 @@ class TestLogisticFallback:
         cfg = TrainConfig(scheme="none", epochs=60, lr_model=0.1, batch_size=16, seed=1)
         result = train_baseline_none(data, cfg, (np.arange(80), np.zeros(0, dtype=int)),
                                      model_factory=lambda fw, rng: LogisticFallback(fw, rng))
-        probs = [result.model.forward(s.visits)[0] for s in data.subjects]
+        probs = result.model.forward([s.visits for s in data.subjects])[0]
         assert balanced_accuracy(data.labels, probs) > 0.9
 
     def test_width_mismatch(self):
         with pytest.raises(ValueError):
-            LogisticFallback(4).forward(np.zeros((1, 5)))
+            LogisticFallback(4).forward([np.zeros((1, 5))])
+
+
+MODELS = {
+    "gru": lambda rng: RecurrentClassifier(4, 5, 3, rng=rng),
+    "logistic": lambda rng: LogisticFallback(4, rng=rng),
+}
+
+
+@pytest.mark.parametrize("make", MODELS.values(), ids=MODELS.keys())
+class TestBatch:
+    def test_gradient_check_ragged_batch(self, make):
+        rng = np.random.default_rng(11)
+        m = make(rng)
+        batch = ragged_batch(rng, 4)
+        upstream = rng.normal(size=len(batch))
+        _, cache = m.forward(batch)
+        analytic = m.backward(cache, upstream)
+        fd = finite_difference(m, lambda: float(upstream @ m.forward(batch)[0]))
+        assert relative_error(analytic, fd) < 1e-4
+
+    def test_probabilities_match_single_sequence_calls(self, make):
+        rng = np.random.default_rng(12)
+        m = make(rng)
+        batch = ragged_batch(rng, 4)
+        probs, _ = m.forward(batch)
+        assert probs.shape == (len(batch),)
+        np.testing.assert_allclose(probs, [prob(m, seq) for seq in batch], rtol=0, atol=1e-12)
+
+    def test_gradient_is_sum_of_single_sequence_gradients(self, make):
+        rng = np.random.default_rng(13)
+        m = make(rng)
+        batch = ragged_batch(rng, 4)
+        upstream = rng.normal(size=len(batch))
+        batched = m.backward(m.forward(batch)[1], upstream)
+        summed = sum(m.backward(m.forward([seq])[1], u) for seq, u in zip(batch, upstream))
+        assert np.linalg.norm(batched - summed) <= 1e-12 * np.linalg.norm(summed)
+
+    def test_scalar_upstream_broadcasts(self, make):
+        rng = np.random.default_rng(14)
+        m = make(rng)
+        _, cache = m.forward(ragged_batch(rng, 4))
+        assert np.array_equal(m.backward(cache, 0.5), m.backward(cache, np.full(6, 0.5)))
+
+    def test_permuting_batch_permutes_output(self, make):
+        rng = np.random.default_rng(15)
+        m = make(rng)
+        batch = ragged_batch(rng, 4)
+        perm = rng.permutation(len(batch))
+        probs, _ = m.forward(batch)
+        permuted, _ = m.forward([batch[i] for i in perm])
+        np.testing.assert_allclose(permuted, probs[perm], rtol=0, atol=1e-12)
+
+    def test_rejects_empty_batch_and_wrong_width_member(self, make):
+        m = make(np.random.default_rng(16))
+        with pytest.raises(ValueError):
+            m.forward([])
+        with pytest.raises(ValueError):
+            m.forward([np.zeros((2, 4)), np.zeros((3, 5))])
 
 
 class TestCheckpoint:

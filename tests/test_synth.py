@@ -15,7 +15,7 @@ def fit_and_score(data: CohortDataset, epochs=40, lr=5e-2, seed=1):
     cfg = TrainConfig(scheme="none", epochs=epochs, lr_model=lr, batch_size=32, seed=seed)
     split = (np.arange(data.n_samples), np.zeros(0, dtype=int))
     result = train_baseline_none(data, cfg, split, model_factory=logistic_factory)
-    probs = [result.model.forward(s.visits)[0] for s in data.subjects]
+    probs = result.model.forward([s.visits for s in data.subjects])[0]
     return balanced_accuracy(data.labels, probs)
 
 
@@ -51,7 +51,7 @@ class TestGenerate:
         cfg = TrainConfig(scheme="none", epochs=40, lr_model=5e-2, batch_size=32, seed=2)
         split = (np.arange(data.n_samples), np.zeros(0, dtype=int))
         result = train_baseline_none(data, cfg, split, model_factory=logistic_factory)
-        probs = np.array([result.model.forward(s.visits)[0] for s in data.subjects])
+        probs = result.model.forward([s.visits for s in data.subjects])[0]
         low = groups == "low"
         bacc_low_noise = balanced_accuracy(data.labels[low], probs[low])
         bacc_high_noise = balanced_accuracy(data.labels[~low], probs[~low])

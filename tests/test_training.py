@@ -167,8 +167,8 @@ class TestSpectral:
             def set_flat_params(self, flat):
                 self.params = np.asarray(flat)
 
-            def forward(self, seq):
-                return float("nan"), None
+            def forward(self, sequences):
+                return np.full(len(sequences), np.nan), None
 
             def backward(self, cache, d_prob):
                 return np.zeros(2)
