@@ -188,12 +188,14 @@ def cmd_graph(args) -> int:
         "m_requested": m,
         "m_used": info["m_used"],
         "n_null_eigenvalues": info["n_null"],
-        "n_components": info["n_null"],
+        "n_components": info["n_components"],
         "basis_eigenvalues": list(basis.eigenvalues),
     }
     _write_json(out / "graph_summary.json", summary)
-    if info["n_null"] > 1:
-        print(f"warning: factor graph has {info['n_null']} connected components",
+    n_comp, n_null = info["n_components"], info["n_null"]
+    if max(n_comp, n_null) > 1 or n_comp != n_null:
+        mismatch = "" if n_comp == n_null else f" but {n_null} null Laplacian eigenvalues"
+        print(f"warning: factor graph has {n_comp} connected components{mismatch}",
               file=sys.stderr)
     if args.dump_graph:
         n = data.n_samples
@@ -284,28 +286,31 @@ def cmd_report(args) -> int:
         raise DataError(f"not a run directory: {exc}") from None
 
     preds = _read_table(run_dir / "predictions.csv",
-                        ["subject_id", "fold", "split", "y_true", "prob"])
+                        ["subject_id", "fold", "split", "y_true", "prob"],
+                        [str, int, str, int, float])
     weights = _read_table(run_dir / "weights.csv",
-                          ["subject_id", "fold", "split", "weight"])
+                          ["subject_id", "fold", "split", "weight"], [str, int, str, float])
     factor_rows = _read_factors(run_dir / "factors.csv")
 
-    weight_by_key = {(r[0], int(r[1])): float(r[3]) for r in weights}
+    weight_by_key = {(r[0], r[1]): r[3] for r in weights}
     n_folds = int(summary["n_folds"])
 
     per_fold, pooled = [], []
     for fold in range(n_folds):
-        fold_rows = [r for r in preds if int(r[1]) == fold]
-        test = [r for r in fold_rows if r[2] == "test"]
-        y = np.array([int(r[3]) for r in test])
-        p = np.array([float(r[4]) for r in test])
-        per_fold.append({
-            "fold": fold,
-            "bacc": ev.balanced_accuracy(y, p),
-            "f1": ev.f1_score(y, p),
-        })
+        test = [r for r in preds if r[1] == fold and r[2] == "test"]
+        y = np.array([r[3] for r in test])
+        p = np.array([r[4] for r in test])
+        try:
+            per_fold.append({
+                "fold": fold,
+                "bacc": ev.balanced_accuracy(y, p),
+                "f1": ev.f1_score(y, p),
+            })
+        except ValueError as exc:
+            where = run_dir / "predictions.csv"
+            raise DataError(f"{where}: fold {fold} test rows: {exc}") from None
         for r in test:
-            pooled.append((r[0], fold, int(r[3]), float(r[4]),
-                           weight_by_key.get((r[0], fold), float("nan"))))
+            pooled.append((r[0], fold, r[3], r[4], weight_by_key.get((r[0], fold), float("nan"))))
 
     bacc = np.array([f["bacc"] for f in per_fold])
     f1 = np.array([f["f1"] for f in per_fold])
@@ -350,14 +355,25 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
-def _read_table(path, expected_header):
+def _read_table(path, expected_header, casts):
+    """Rows of a run CSV, each field converted by the cast of its column; a
+    row that does not convert is a DataError naming its line."""
     try:
         with open(path, "r", newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header != expected_header:
                 raise DataError(f"{path}: expected header {','.join(expected_header)}")
-            return list(reader)
+            rows = []
+            for row in reader:
+                if len(row) != len(casts):
+                    raise DataError(f"{path}:{reader.line_num}: expected {len(casts)} fields, "
+                                    f"got {len(row)}")
+                try:
+                    rows.append([cast(v) for cast, v in zip(casts, row)])
+                except ValueError as exc:
+                    raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+            return rows
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .linalg import EigenDecomposition, as_square_matrix, fix_column_signs, symmetric_eigen
+from .linalg import EigenDecomposition, fix_column_signs, symmetric_eigen
 
 NULL_SPACE_TOL = 1e-8
 M_SELECT_CAP = 50
@@ -141,40 +141,42 @@ def laplacian(g: FactorGraph) -> np.ndarray:
 
 
 def connected_components(adjacency: np.ndarray) -> np.ndarray:
-    """Component label per node from the nonzero pattern (BFS)."""
-    a = as_square_matrix(adjacency)
-    n = a.shape[0]
+    """Component label per node from the nonzero pattern, numbered in order of
+    each component's lowest node. The diagonal is ignored, so a Laplacian
+    gives the same labels as its adjacency."""
+    linked = np.asarray(adjacency) != 0
+    if linked.ndim != 2 or linked.shape[0] != linked.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {linked.shape}")
+    n = linked.shape[0]
     labels = np.full(n, -1, dtype=int)
     current = 0
     for start in range(n):
         if labels[start] >= 0:
             continue
-        stack = [start]
-        labels[start] = current
-        while stack:
-            i = stack.pop()
-            for j in np.flatnonzero(a[i]):
-                if labels[j] < 0:
-                    labels[j] = current
-                    stack.append(int(j))
+        # Breadth-first search, one whole frontier per step.
+        reached = np.zeros(n, dtype=bool)
+        reached[start] = True
+        frontier = reached
+        while frontier.any():
+            frontier = linked[frontier].any(axis=0) & ~reached
+            reached |= frontier
+        labels[reached] = current
         current += 1
     return labels
 
 
-def _component_null_basis(lap: np.ndarray) -> np.ndarray:
+def _component_null_basis(labels: np.ndarray) -> np.ndarray:
     """Orthonormal indicator basis of the Laplacian's exact null space."""
-    off = lap.copy()
-    np.fill_diagonal(off, 0.0)
-    labels = connected_components(off != 0.0)
     n_comp = labels.max() + 1
-    u0 = np.zeros((lap.shape[0], n_comp))
+    u0 = np.zeros((labels.size, n_comp))
     for comp in range(n_comp):
         members = labels == comp
         u0[members, comp] = 1.0 / np.sqrt(members.sum())
     return u0
 
 
-def spectral_basis(lap: np.ndarray, m: int | str = "auto", eig: EigenDecomposition | None = None) -> SpectralBasis:
+def spectral_basis(lap: np.ndarray, m: int | str = "auto", eig: EigenDecomposition | None = None,
+                   labels: np.ndarray | None = None) -> SpectralBasis:
     """First m eigenvectors of the Laplacian after dropping the null space.
 
     Eigenpairs with eigenvalue <= NULL_SPACE_TOL (one per connected component)
@@ -185,9 +187,13 @@ def spectral_basis(lap: np.ndarray, m: int | str = "auto", eig: EigenDecompositi
     property down to rounding error however small that eigenvalue is.
     m="auto" applies select_m_changepoint and raises DataError when the
     graph has fewer than 2 non-null eigenvalues to choose from.
+
+    A caller that already holds the eigendecomposition of `lap` or the
+    component labels of its graph passes them as `eig` and `labels`;
+    otherwise they are computed here.
     """
-    lap = as_square_matrix(lap)
     eig = eig if eig is not None else symmetric_eigen(lap)
+    n = eig.eigenvectors.shape[0]
     nonnull = eig.eigenvalues > NULL_SPACE_TOL
     values = eig.eigenvalues[nonnull]
     vectors = eig.eigenvectors[:, nonnull]
@@ -203,14 +209,14 @@ def spectral_basis(lap: np.ndarray, m: int | str = "auto", eig: EigenDecompositi
     if m < 0:
         raise ValueError("m must be >= 0")
     if m == 0:
-        return SpectralBasis.empty(lap.shape[0])
+        return SpectralBasis.empty(n)
     if m > values.shape[0]:
         raise ValueError(
             f"requested {m} eigenbases but only {values.shape[0]} non-null eigenpairs exist"
         )
 
     basis = vectors[:, :m].copy()
-    u0 = _component_null_basis(lap)
+    u0 = _component_null_basis(labels if labels is not None else connected_components(lap))
     basis -= u0 @ (u0.T @ basis)
     basis /= np.linalg.norm(basis, axis=0)
     return SpectralBasis(fix_column_signs(basis), values[:m].copy())
@@ -220,18 +226,21 @@ def basis_from_factors(raw: FactorTable, k: int, m: int | str = "auto"):
     """Full chain raw factors -> standardized -> graph -> Laplacian -> basis.
 
     Returns (basis, info) where info carries the pieces reports need: the
-    graph, the full eigenvalue spectrum, the component count, and the m that
-    was actually used.
+    graph, the full eigenvalue spectrum, the number of null eigenvalues, the
+    number of connected components (from the graph's edges, labelled once),
+    and the m that was actually used.
     """
     graph = build_graph(standardize(raw), k)
+    labels = connected_components(graph.adjacency)
     lap = laplacian(graph)
     eig = symmetric_eigen(lap)
     n_null = int(np.sum(eig.eigenvalues <= NULL_SPACE_TOL))
-    basis = spectral_basis(lap, m, eig=eig)
+    basis = spectral_basis(lap, m, eig=eig, labels=labels)
     info = {
         "graph": graph,
         "eigenvalues": eig.eigenvalues,
         "n_null": n_null,
+        "n_components": int(labels.max()) + 1,
         "m_used": basis.m_count,
         "laplacian": lap,
     }

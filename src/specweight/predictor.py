@@ -8,12 +8,18 @@ sequence plus a cache; `backward` takes one upstream value per sequence and
 returns the parameter gradient summed over the batch. The recurrence packs
 the batch longest first, so the rows still running at each step form a
 prefix and finished rows keep their hidden state (the pack_padded_sequence
-idiom). A last-visit logistic model with the same interface serves as a
-cheap stand-in where test suites need many training runs.
+idiom). The gate weights are stacked, the usual RNN kernel layout: one
+matmul against [Wz; Wr; Wh] projects every packed visit onto all three
+gates, and each step makes one matmul against [Uz; Ur] for the update and
+reset gates together. The parameter arrays are views into one flat vector in
+checkpoint order, and `backward` writes its gradient into one flat buffer in
+the same order. A last-visit logistic model with the same interface serves
+as a cheap stand-in where test suites need many training runs.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -24,9 +30,17 @@ PROB_CLAMP = 1e-7
 CHECKPOINT_MAGIC = b"SCW1"
 
 
-def _sigmoid(x):
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function of the float64 array `x`, computed in place and returned.
+
+    0.5 * tanh(x / 2) + 0.5 is the logistic function with one transcendental:
+    exact at 0, and it cannot overflow.
+    """
+    x *= 0.5
+    np.tanh(x, out=x)
+    x *= 0.5
+    x += 0.5
+    return x
 
 
 def bce_loss(p, y):
@@ -70,6 +84,8 @@ class RecurrentClassifier:
 
     followed by ReLU(W1 h + b1) and a scalar logit W2 (.) + b2. Parameters
     initialize uniformly in +-1/sqrt(fan_in) from the provided generator.
+    The attributes `wz` ... `b2` are views into one flat float64 vector laid
+    out in checkpoint order, so copying parameters in or out is one copy.
     """
 
     def __init__(self, feature_width: int, hidden: int = 64, fc: int = 32,
@@ -81,44 +97,41 @@ class RecurrentClassifier:
         self.fc = fc
         rng = rng if rng is not None else np.random.default_rng(0)
 
-        def uniform(shape, fan_in):
-            bound = 1.0 / np.sqrt(fan_in)
-            return rng.uniform(-bound, bound, size=shape)
-
         f, h, k = feature_width, hidden, fc
-        self.wz = uniform((h, f), f)
-        self.uz = uniform((h, h), h)
-        self.bz = uniform((h,), h)
-        self.wr = uniform((h, f), f)
-        self.ur = uniform((h, h), h)
-        self.br = uniform((h,), h)
-        self.wh = uniform((h, f), f)
-        self.uh = uniform((h, h), h)
-        self.bh = uniform((h,), h)
-        self.w1 = uniform((k, h), h)
-        self.b1 = uniform((k,), h)
-        self.w2 = uniform((k,), k)
-        self.b2 = uniform((1,), k)
+        # (name, shape, fan_in) in checkpoint order, which is also the draw order.
+        layout = [
+            ("wz", (h, f), f), ("uz", (h, h), h), ("bz", (h,), h),
+            ("wr", (h, f), f), ("ur", (h, h), h), ("br", (h,), h),
+            ("wh", (h, f), f), ("uh", (h, h), h), ("bh", (h,), h),
+            ("w1", (k, h), h), ("b1", (k,), h), ("w2", (k,), k), ("b2", (1,), k),
+        ]
+        self._spans, offset = [], 0
+        for _, shape, _ in layout:
+            size = math.prod(shape)
+            self._spans.append((slice(offset, offset + size), shape))
+            offset += size
+        self._flat = np.empty(offset)
+        for (name, shape, fan_in), view in zip(layout, self._views(self._flat)):
+            bound = 1.0 / np.sqrt(fan_in)
+            view[...] = rng.uniform(-bound, bound, size=shape)
+            setattr(self, name, view)
 
-    def _params(self):
-        return [self.wz, self.uz, self.bz, self.wr, self.ur, self.br,
-                self.wh, self.uh, self.bh, self.w1, self.b1, self.w2, self.b2]
+    def _views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """One view of `flat` per parameter array, in checkpoint order."""
+        return [flat[span].reshape(shape) for span, shape in self._spans]
 
     @property
     def n_params(self) -> int:
-        return sum(p.size for p in self._params())
+        return self._flat.size
 
     def flat_params(self) -> np.ndarray:
-        return np.concatenate([p.ravel() for p in self._params()])
+        return self._flat.copy()
 
     def set_flat_params(self, flat: np.ndarray) -> None:
         flat = np.asarray(flat, dtype=np.float64)
         if flat.shape != (self.n_params,):
             raise ValueError(f"expected {self.n_params} parameters, got {flat.shape}")
-        offset = 0
-        for p in self._params():
-            p[...] = flat[offset:offset + p.size].reshape(p.shape)
-            offset += p.size
+        self._flat[...] = flat
 
     def forward(self, sequences):
         """Probabilities for a batch of visit sequences plus the cache for backward."""
@@ -135,23 +148,35 @@ class RecurrentClassifier:
         packed = np.concatenate([starts[order[:n]] + t for t, n in enumerate(running)])
         x = np.concatenate(batch)[packed]
 
-        # Input projections for all visits at once; the recurrence stays sequential.
-        pz = x @ self.wz.T + self.bz
-        pr = x @ self.wr.T + self.br
-        ph = x @ self.wh.T + self.bh
-        h_prev = np.empty_like(pz)
-        z = np.empty_like(pz)
-        r = np.empty_like(pz)
-        g = np.empty_like(pz)
-        h = np.zeros((len(batch), self.hidden))
+        # One matmul projects every visit onto the stacked gates, columns
+        # [z | r | candidate]; each step then makes one recurrent matmul for
+        # z and r together and one for the candidate. z, r and g are kept in
+        # contiguous per-gate arrays: backward's elementwise recursion runs
+        # slower on strided views of one stacked array.
+        nh = self.hidden
+        proj = x @ np.concatenate((self.wz, self.wr, self.wh)).T
+        proj += np.concatenate((self.bz, self.br, self.bh))
+        u_zr = np.concatenate((self.uz, self.ur)).T
+        uh = self.uh.T
+        h_prev = np.empty((x.shape[0], nh))
+        z = np.empty_like(h_prev)
+        r = np.empty_like(h_prev)
+        g = np.empty_like(h_prev)
+        h = np.zeros((len(batch), nh))
         for t, n in enumerate(running):
             rows = slice(offsets[t], offsets[t + 1])
-            h_prev[rows] = h[:n]
             hp = h_prev[rows]
-            z[rows] = _sigmoid(pz[rows] + hp @ self.uz.T)
-            r[rows] = _sigmoid(pr[rows] + hp @ self.ur.T)
-            g[rows] = np.tanh(ph[rows] + (r[rows] * hp) @ self.uh.T)
-            h[:n] = (1.0 - z[rows]) * g[rows] + z[rows] * hp
+            hp[...] = h[:n]
+            zr = hp @ u_zr
+            zr += proj[rows, :2 * nh]
+            _sigmoid(zr)
+            z[rows] = zr[:, :nh]
+            r[rows] = zr[:, nh:]
+            z_t = z[rows]
+            g_t = (r[rows] * hp) @ uh
+            g_t += proj[rows, 2 * nh:]
+            g[rows] = np.tanh(g_t, out=g_t)
+            h[:n] = (1.0 - z_t) * g_t + z_t * hp
         a1 = h @ self.w1.T + self.b1
         q = np.maximum(a1, 0.0)
         logits = q @ self.w2 + self.b2[0]
@@ -166,13 +191,16 @@ class RecurrentClassifier:
         """Flat parameter gradient summed over the batch, given d loss / d
         probability per sequence (a scalar applies to every sequence)."""
         x, order, running, offsets, h_prev, z, r, g, h_final, a1, q, p = cache
+        grad = np.empty(self.n_params)
+        dwz, duz, dbz, dwr, dur, dbr, dwh, duh, dbh, dw1, db1, dw2, db2 = self._views(grad)
+
         d_prob = np.broadcast_to(np.asarray(d_prob, dtype=np.float64), order.shape)[order]
         dlogit = d_prob * p * (1.0 - p)
-        dw2 = dlogit @ q
-        db2 = np.array([dlogit.sum()])
+        np.matmul(dlogit, q, out=dw2)
+        db2[0] = dlogit.sum()
         da1 = np.outer(dlogit, self.w2) * (a1 > 0.0)
-        dw1 = da1.T @ h_final
-        db1 = da1.sum(axis=0)
+        np.matmul(da1.T, h_final, out=dw1)
+        np.sum(da1, axis=0, out=db1)
         dh = da1 @ self.w1
 
         daz = np.empty_like(z)
@@ -199,19 +227,18 @@ class RecurrentClassifier:
 
             dh[:n] = dh_prev
 
-        # Input/recurrent weight gradients accumulate over visits as single matmuls.
-        dwz = daz.T @ x
-        dwr = dar.T @ x
-        dwh = dah.T @ x
-        duz = daz.T @ h_prev
-        dur = dar.T @ h_prev
-        duh = dah.T @ (r * h_prev)
-        dbz = daz.sum(axis=0)
-        dbr = dar.sum(axis=0)
-        dbh = dah.sum(axis=0)
-
-        grads = [dwz, duz, dbz, dwr, dur, dbr, dwh, duh, dbh, dw1, db1, dw2, db2]
-        return np.concatenate([g.ravel() for g in grads])
+        # Input/recurrent weight gradients accumulate over visits as single
+        # matmuls, written straight into the flat gradient.
+        np.matmul(daz.T, x, out=dwz)
+        np.matmul(dar.T, x, out=dwr)
+        np.matmul(dah.T, x, out=dwh)
+        np.matmul(daz.T, h_prev, out=duz)
+        np.matmul(dar.T, h_prev, out=dur)
+        np.matmul(dah.T, r * h_prev, out=duh)
+        np.sum(daz, axis=0, out=dbz)
+        np.sum(dar, axis=0, out=dbr)
+        np.sum(dah, axis=0, out=dbh)
+        return grad
 
 
 class LogisticFallback:

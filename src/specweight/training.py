@@ -5,6 +5,8 @@ losses once and feeds two optimizers from that single backward pass: the
 model parameters move under the weighted loss gradient (weights treated as
 constants, one upstream value per sample) and the weight-field coefficients
 move under the loss-plus-hinge gradient (losses treated as constants).
+`adam_step` updates the optimizer moments in place and returns a new
+parameter vector, which the model copies into its flat parameters.
 Scoring outside the step (objectives, JTT stage one, CV predictions) goes
 through `predict`, which runs the model over chunks of `batch_size`
 subjects. Test rows never enter a training batch, so trained parameters and
@@ -62,7 +64,8 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators for one parameter vector."""
+    """First/second moment accumulators for one parameter vector, updated in
+    place, plus one scratch vector of the same size."""
 
     m: np.ndarray
     v: np.ndarray
@@ -70,6 +73,10 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+    scratch: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.scratch = np.empty_like(self.m)
 
     @classmethod
     def zeros(cls, dim: int) -> "AdamState":
@@ -77,17 +84,30 @@ class AdamState:
 
 
 def adam_step(state: AdamState, params, grads, lr: float) -> np.ndarray:
-    """One bias-corrected Adam update; returns the new parameter vector."""
+    """One bias-corrected Adam update; returns the new parameter vector.
+
+    The moments and the scratch vector are updated in place; `params` and
+    `grads` are left untouched.
+    """
     params = np.asarray(params, dtype=np.float64)
     grads = np.asarray(grads, dtype=np.float64)
     if params.shape != state.m.shape or grads.shape != state.m.shape:
         raise ValueError("parameter/gradient shape does not match optimizer state")
     state.step += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grads
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grads * grads
-    m_hat = state.m / (1.0 - state.beta1 ** state.step)
-    v_hat = state.v / (1.0 - state.beta2 ** state.step)
-    return params - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    m, v, tmp = state.m, state.v, state.scratch
+    m *= state.beta1
+    m += np.multiply(grads, 1.0 - state.beta1, out=tmp)
+    v *= state.beta2
+    np.multiply(grads, 1.0 - state.beta2, out=tmp)
+    v += np.multiply(tmp, grads, out=tmp)
+    # params - lr * m_hat / (sqrt(v_hat) + eps), one operation at a time.
+    np.divide(v, 1.0 - state.beta2 ** state.step, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += state.eps
+    update = np.divide(m, 1.0 - state.beta1 ** state.step)
+    update *= lr
+    update /= tmp
+    return np.subtract(params, update, out=update)
 
 
 @dataclass

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 
 import specweight
 from specweight.cli import main
+from specweight.factor_graph import basis_from_factors
 from specweight.predictor import load_checkpoint
 
 
@@ -32,6 +34,20 @@ def run_at_threads(args, threads, out):
          *args, "--out", str(out)],
         env=env, check=True, capture_output=True, timeout=120)
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def run_cli(*args):
+    """Run the CLI entry point in a subprocess; return the completed process."""
+    return subprocess.run(
+        [sys.executable, "-c", "from specweight.cli import entrypoint; entrypoint()",
+         *[str(a) for a in args]],
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=120)
+
+
+def assert_data_error(proc):
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("data error:")
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.fixture(scope="module")
@@ -123,7 +139,26 @@ class TestGraph:
         rc = main(["graph", "--cohort", str(cohort), "--out", str(tmp_path / "g"),
                    "--k", "1", "--m", "1"])
         assert rc == 0
-        assert "components" in capsys.readouterr().err
+        assert "has 2 connected components\n" in capsys.readouterr().err
+        summary = json.loads((tmp_path / "g" / "graph_summary.json").read_text())
+        assert summary["n_components"] == 2
+        assert summary["n_null_eigenvalues"] == 2
+
+    def test_component_and_null_count_mismatch_warns(self, cohort_dir, tmp_path, capsys,
+                                                     monkeypatch):
+        import specweight.cli as cli
+
+        def one_extra_null(*args, **kwargs):
+            basis, info = basis_from_factors(*args, **kwargs)
+            return basis, dict(info, n_null=info["n_components"] + 1)
+
+        monkeypatch.setattr(cli, "basis_from_factors", one_extra_null)
+        rc = main(["graph", "--cohort", str(cohort_dir / "cohort.csv"),
+                   "--out", str(tmp_path), "--k", "8", "--m", "2"])
+        assert rc == 0
+        assert "1 connected components but 2 null Laplacian eigenvalues" in capsys.readouterr().err
+        summary = json.loads((tmp_path / "graph_summary.json").read_text())
+        assert (summary["n_components"], summary["n_null_eigenvalues"]) == (1, 2)
 
     def test_auto_m_on_too_small_graph_is_data_error(self, tmp_path, capsys):
         # 2 subjects, k=1: one edge, so a single non-null eigenvalue
@@ -140,13 +175,8 @@ class TestGraph:
         lines.insert(len(lines) if position is None else position, bad_row)
         cohort = tmp_path / "cohort.csv"
         cohort.write_text("\n".join(lines) + "\n")
-        proc = subprocess.run(
-            [sys.executable, "-c", "from specweight.cli import entrypoint; entrypoint()",
-             "graph", "--cohort", str(cohort), "--out", str(tmp_path / "g"), "--k", "8"],
-            env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 2
-        assert proc.stderr.startswith("data error:")
-        assert "Traceback" not in proc.stderr
+        assert_data_error(run_cli("graph", "--cohort", cohort, "--out", tmp_path / "g",
+                                  "--k", "8"))
 
     def test_thread_count_determinism_scope(self, tmp_path):
         """Byte-identical at a fixed BLAS thread count; equal to rounding across counts."""
@@ -274,6 +304,46 @@ class TestReport:
 
     def test_not_a_run_dir(self, tmp_path):
         assert main(["report", "--run", str(tmp_path)]) == 2
+
+    @staticmethod
+    def edited_run(run_dir, tmp_path, edit):
+        """Copy of the run directory with `edit(rows)` applied to the rows of
+        predictions.csv (header excluded)."""
+        copy = tmp_path / "run"
+        shutil.copytree(run_dir, copy)
+        rows = read_csv(copy / "predictions.csv")
+        edit(rows[1:])
+        with open(copy / "predictions.csv", "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        return copy
+
+    def test_single_class_fold_is_data_error(self, run_dir, tmp_path):
+        def one_class_fold_2(rows):
+            for row in rows:
+                if row[1] == "2" and row[2] == "test":
+                    row[3] = "1"
+
+        proc = run_cli("report", "--run", self.edited_run(run_dir, tmp_path, one_class_fold_2))
+        assert_data_error(proc)
+        assert "fold 2" in proc.stderr
+
+    @pytest.mark.parametrize("column, value", [(1, "x"), (1, "1.5"), (3, "0.5"), (3, "")],
+                             ids=["fold-text", "fold-float", "y-float", "y-empty"])
+    def test_non_integer_field_is_data_error(self, run_dir, tmp_path, column, value):
+        def corrupt_line_5(rows):
+            rows[3][column] = value
+
+        proc = run_cli("report", "--run", self.edited_run(run_dir, tmp_path, corrupt_line_5))
+        assert_data_error(proc)
+        assert "predictions.csv:5:" in proc.stderr
+
+    def test_short_row_is_data_error(self, run_dir, tmp_path):
+        def truncate_line_3(rows):
+            del rows[1][2:]
+
+        proc = run_cli("report", "--run", self.edited_run(run_dir, tmp_path, truncate_line_3))
+        assert_data_error(proc)
+        assert "predictions.csv:3:" in proc.stderr
 
 
 class TestSweep:

@@ -181,6 +181,24 @@ class TestSpectralBasis:
         assert labels.max() + 1 == 3
         assert np.sum(eig.eigenvalues <= 1e-8) == 3
 
+    def test_components_labelled_from_adjacency(self):
+        # two clusters: labels numbered by lowest member, the Laplacian's
+        # nonzero pattern gives the same labels, and basis_from_factors
+        # reports the labelled count next to the null-eigenvalue count
+        t = table([[0.0], [100.0], [1.0], [101.0], [2.0]])
+        g = build_graph(t, k=1)
+        labels = connected_components(g.adjacency)
+        assert labels.tolist() == [0, 1, 0, 1, 0]
+        assert np.array_equal(connected_components(laplacian(g)), labels)
+        basis, info = basis_from_factors(t, k=1, m=2)
+        assert info["n_components"] == 2 and info["n_null"] == 2
+        assert np.max(np.abs(basis.basis[labels == 0].sum(axis=0))) < 1e-12
+        assert np.max(np.abs(basis.basis[labels == 1].sum(axis=0))) < 1e-12
+
+    def test_connected_components_rejects_non_square(self):
+        with pytest.raises(ValueError):
+            connected_components(np.ones((2, 3)))
+
     def test_permutation_consistency(self):
         rng = np.random.default_rng(9)
         values = rng.normal(size=(18, 3))

@@ -241,6 +241,92 @@ class TestBatch:
             m.forward([np.zeros((2, 4)), np.zeros((3, 5))])
 
 
+CHECKPOINT_ORDER = ("wz", "uz", "bz", "wr", "ur", "br", "wh", "uh", "bh", "w1", "b1", "w2", "b2")
+
+
+def reference_gru(m, batch, upstream):
+    """Unfused GRU, one gate, one sequence and one visit at a time.
+
+    Returns the probabilities and the gradient of sum(upstream * probs) in
+    checkpoint order.
+    """
+    def sig(v):
+        return 1.0 / (1.0 + np.exp(-v))
+
+    grads = {name: np.zeros_like(getattr(m, name)) for name in CHECKPOINT_ORDER}
+    probs = []
+    for seq, u in zip(batch, upstream):
+        h, steps = np.zeros(m.hidden), []
+        for x in seq:
+            z = sig(m.wz @ x + m.uz @ h + m.bz)
+            r = sig(m.wr @ x + m.ur @ h + m.br)
+            g = np.tanh(m.wh @ x + m.uh @ (r * h) + m.bh)
+            steps.append((x, h, z, r, g))
+            h = (1.0 - z) * g + z * h
+        a1 = m.w1 @ h + m.b1
+        q = np.maximum(a1, 0.0)
+        p = sig(m.w2 @ q + m.b2[0])
+        probs.append(p)
+
+        dlogit = u * p * (1.0 - p)
+        grads["w2"] += dlogit * q
+        grads["b2"] += dlogit
+        da1 = dlogit * m.w2 * (a1 > 0.0)
+        grads["w1"] += np.outer(da1, h)
+        grads["b1"] += da1
+        dh = m.w1.T @ da1
+        for x, hp, z, r, g in reversed(steps):
+            daz = dh * (hp - g) * z * (1.0 - z)
+            dah = dh * (1.0 - z) * (1.0 - g * g)
+            drh = m.uh.T @ dah
+            dar = drh * hp * r * (1.0 - r)
+            for gate, d, h_in in (("z", daz, hp), ("r", dar, hp), ("h", dah, r * hp)):
+                grads["w" + gate] += np.outer(d, x)
+                grads["u" + gate] += np.outer(d, h_in)
+                grads["b" + gate] += d
+            dh = dh * z + drh * r + m.uz.T @ daz + m.ur.T @ dar
+    return np.array(probs), np.concatenate([grads[name].ravel() for name in CHECKPOINT_ORDER])
+
+
+class TestStackedKernel:
+    """The stacked-gate batch kernel against an unfused per-gate loop, and the
+    flat parameter vector behind the named arrays."""
+
+    def test_matches_unfused_reference_on_ragged_batch(self):
+        rng = np.random.default_rng(21)
+        m = RecurrentClassifier(7, 16, 8, rng=rng)
+        batch = [rng.normal(size=(n, 7)) for n in rng.permutation(np.arange(1, 25))]
+        upstream = rng.normal(size=len(batch))
+        probs, cache = m.forward(batch)
+        grad = m.backward(cache, upstream)
+        ref_probs, ref_grad = reference_gru(m, batch, upstream)
+        np.testing.assert_allclose(probs, ref_probs, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=1e-12 * np.abs(ref_grad).max())
+
+    def test_flat_params_in_checkpoint_order(self):
+        m = RecurrentClassifier(4, 5, 3, rng=np.random.default_rng(22))
+        expected = np.concatenate([getattr(m, name).ravel() for name in CHECKPOINT_ORDER])
+        assert np.array_equal(m.flat_params(), expected)
+        assert m.n_params == expected.size
+
+    def test_named_arrays_see_set_flat_params(self):
+        m = RecurrentClassifier(4, 5, 3, rng=np.random.default_rng(23))
+        flat = np.arange(m.n_params, dtype=float)
+        m.set_flat_params(flat)
+        offset = 0
+        for name in CHECKPOINT_ORDER:
+            arr = getattr(m, name)
+            assert np.array_equal(arr.ravel(), flat[offset:offset + arr.size])
+            offset += arr.size
+
+    def test_flat_params_is_a_copy(self):
+        m = RecurrentClassifier(4, 5, 3, rng=np.random.default_rng(24))
+        flat = m.flat_params()
+        flat[:] = 0.0
+        assert np.any(m.flat_params() != 0.0)
+        assert np.any(m.wz != 0.0)
+
+
 class TestCheckpoint:
     def test_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(10)

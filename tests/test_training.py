@@ -65,6 +65,24 @@ class TestAdam:
         with pytest.raises(ValueError):
             adam_step(AdamState.zeros(2), np.zeros(3), np.zeros(3), 0.1)
 
+    def test_leaves_inputs_untouched_and_matches_textbook(self):
+        b1, b2, eps, lr = 0.9, 0.999, 1e-8, 0.01
+        rng = np.random.default_rng(5)
+        state = AdamState.zeros(40)
+        params = rng.normal(size=40)
+        expected, m, v = params.copy(), np.zeros(40), np.zeros(40)
+        for step in range(1, 7):
+            grads = rng.normal(size=40) * 10.0 ** rng.uniform(-3, 1)
+            params_in, grads_in = params.copy(), grads.copy()
+            new = adam_step(state, params, grads, lr)
+            assert np.array_equal(params, params_in) and np.array_equal(grads, grads_in)
+            assert new is not params
+            m = b1 * m + (1 - b1) * grads
+            v = b2 * v + (1 - b2) * grads * grads
+            expected = expected - lr * (m / (1 - b1 ** step)) / (np.sqrt(v / (1 - b2 ** step)) + eps)
+            assert np.max(np.abs(new - expected)) <= 1e-15
+            params = new
+
 
 class TestTrainConfig:
     def test_defaults_match_reference_recipe(self):
