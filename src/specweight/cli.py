@@ -290,7 +290,7 @@ def cmd_report(args) -> int:
                         [str, int, str, int, float])
     weights = _read_table(run_dir / "weights.csv",
                           ["subject_id", "fold", "split", "weight"], [str, int, str, float])
-    factor_rows = _read_factors(run_dir / "factors.csv")
+    factor_names, factors_by_id = _read_factors(run_dir / "factors.csv")
 
     weight_by_key = {(r[0], r[1]): r[3] for r in weights}
     n_folds = int(summary["n_folds"])
@@ -320,13 +320,14 @@ def cmd_report(args) -> int:
     w = np.array([r[4] for r in pooled])
 
     gap = asdict(ev.median_split_from_arrays(y, prob, w))
-    factor_names = [c[2:] for c in _factor_columns(run_dir / "factors.csv")]
-    by_id = {r["subject_id"]: r for r in factor_rows}
+    missing = next((i for i in ids if i not in factors_by_id), None)
+    if missing is not None:
+        raise DataError(f"{run_dir / 'factors.csv'}: no row for subject {missing!r}")
+    factor_values = np.array([factors_by_id[i] for i in ids])
     subcohorts = {}
     out = _out_dir(args.out) if args.out else run_dir
-    for name in factor_names:
-        vals = np.array([float(by_id[i][f"f_{name}"]) for i in ids])
-        table = ev.factor_subcohort_table(w, y, prob, vals, name)
+    for k, name in enumerate(factor_names):
+        table = ev.factor_subcohort_table(w, y, prob, factor_values[:, k], name)
         subcohorts[name] = {
             "groups": [asdict(g) for g in table.groups],
             "pairwise": [asdict(p) for p in table.pairwise],
@@ -374,24 +375,32 @@ def _read_table(path, expected_header, casts):
                 except ValueError as exc:
                     raise DataError(f"{path}:{reader.line_num}: {exc}") from None
             return rows
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
-
-
-def _factor_columns(path):
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh), None)
-    if not header or header[0] != "subject_id":
-        raise DataError(f"{path}: malformed factors file")
-    return header[1:]
 
 
 def _read_factors(path):
+    """(factor names, finite factor values by subject id) from a run's
+    factors.csv; a malformed header, a duplicated subject or a bad row is a
+    DataError naming the file and, for a row, its line."""
     try:
         with open(path, "r", newline="", encoding="utf-8") as fh:
-            return list(csv.DictReader(fh))
-    except OSError as exc:
+            header = next(csv.reader(fh), None)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
+    names = [c[2:] for c in (header or [])[1:]]
+    if (not header or header[0] != "subject_id" or len(set(names)) != len(names)
+            or not all(c.startswith("f_") and c[2:] for c in header[1:])):
+        raise DataError(f"{path}: expected header subject_id,f_<factor>...")
+    by_id = {}
+    for line, (sid, *values) in enumerate(
+            _read_table(path, header, [str] + [float] * len(names)), start=2):
+        if sid in by_id:
+            raise DataError(f"{path}:{line}: duplicate subject {sid!r}")
+        if not all(math.isfinite(v) for v in values):
+            raise DataError(f"{path}:{line}: non-finite factor value")
+        by_id[sid] = values
+    return names, by_id
 
 
 _SWEEP_DEFAULTS = dict(_TRAIN_DEFAULTS, k_grid="10,30,50,75,100",

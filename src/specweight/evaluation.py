@@ -192,7 +192,9 @@ def cross_validate(data: CohortDataset, factors: FactorTable | None, cfg: tr.Tra
 
     The factor graph and its basis cover all samples and are built once; only
     the train/test partition changes per fold. Each fold trains under its own
-    derived seed.
+    derived seed and is scored by the one full-cohort pass its training run
+    ends with (`TrainResult.probs`, chunked by visit count), with no second
+    forward pass.
     """
     labels = data.labels
     needs_graph = cfg.scheme in ("spectral", "only_graph")
@@ -221,7 +223,7 @@ def cross_validate(data: CohortDataset, factors: FactorTable | None, cfg: tr.Tra
         else:
             result = tr.train_baseline_none(data, fold_cfg, split, model_factory)
 
-        prob = tr.predict(data, result.model, np.arange(data.n_samples), cfg.batch_size)
+        prob = result.probs
         if result.weight_field is not None:
             weights = result.weight_field.weights()
         elif cfg.scheme == "jtt":

@@ -7,10 +7,14 @@ constants, one upstream value per sample) and the weight-field coefficients
 move under the loss-plus-hinge gradient (losses treated as constants).
 `adam_step` updates the optimizer moments in place and returns a new
 parameter vector, which the model copies into its flat parameters.
-Scoring outside the step (objectives, JTT stage one, CV predictions) goes
-through `predict`, which runs the model over chunks of `batch_size`
-subjects. Test rows never enter a training batch, so trained parameters and
-inferred test weights are independent of test features and labels.
+Scoring outside the step goes through `predict`, which sorts the subjects
+by visit count and runs the model over chunks of `batch_size` of them, so
+each forward call runs only as many recurrent steps as its longest member.
+Each trained model makes one full-cohort pass at the end of its run;
+`TrainResult.probs` carries it, and the final objective, JTT stage one and
+the CV scoring pass all read it instead of scoring again. Test rows never
+enter a training batch, so trained parameters and inferred test weights are
+independent of test features and labels.
 
 Schemes:
     none        uniform unit weights
@@ -122,6 +126,7 @@ class TrainResult:
     model: object
     weight_field: WeightField | None
     history: TrainHistory
+    probs: np.ndarray             # (n_samples,) final-model probability of every subject
     jtt_weights: np.ndarray | None = None
 
 
@@ -142,18 +147,26 @@ def _split_arrays(data: CohortDataset, split):
 
 
 def predict(data: CohortDataset, model, rows, chunk: int) -> np.ndarray:
-    """Probabilities for the subjects in `rows`, `chunk` sequences per forward call."""
+    """Probabilities for the subjects in `rows`, in the order given.
+
+    The rows are stable-sorted by visit count and scored `chunk` sequences
+    per forward call, so a call runs only as many recurrent steps as its
+    longest member; each result is written back to its caller's position.
+    """
     rows = np.asarray(rows, dtype=np.intp)
-    return np.concatenate([
-        model.forward([data.subjects[i].visits for i in rows[start:start + chunk]])[0]
-        for start in range(0, rows.size, chunk)
-    ])
+    subjects = data.subjects
+    by_length = np.argsort([subjects[i].visits.shape[0] for i in rows], kind="stable")
+    probs = np.empty(rows.size)
+    for start in range(0, rows.size, chunk):
+        pos = by_length[start:start + chunk]
+        probs[pos] = model.forward([subjects[i].visits for i in rows[pos]])[0]
+    return probs
 
 
-def _objective(data, model, rows, weights, chunk) -> float:
-    """Mean per-sample weighted loss plus hinge penalty over the given rows."""
-    losses = bce_loss(predict(data, model, rows, chunk), data.labels[rows])
-    return (float(weights @ losses) + negativity_penalty(weights)) / len(rows)
+def _objective(probs, labels, weights) -> float:
+    """Mean per-sample weighted loss plus hinge penalty."""
+    losses = bce_loss(probs, labels)
+    return (float(weights @ losses) + negativity_penalty(weights)) / len(probs)
 
 
 def _run_loop(data, cfg, train_rows, seed, model_factory, batch_weights, after_batch=None):
@@ -162,15 +175,16 @@ def _run_loop(data, cfg, train_rows, seed, model_factory, batch_weights, after_b
     `batch_weights(rows)` supplies current per-sample weights for a batch;
     `after_batch(rows, losses)` updates weight-field coefficients, if any.
     Both epoch shuffling and model initialization draw from named substreams
-    of `seed` only, never from data values.
+    of `seed` only, never from data values. Returns the model, its history
+    and the final model's probability for every subject.
     """
     model = model_factory(data.feature_width, rng_for(seed, "init"))
     opt = AdamState.zeros(model.n_params)
     shuffle = rng_for(seed, "shuffle")
     labels = data.labels
     history = TrainHistory()
-    history.initial_objective = _objective(data, model, train_rows, batch_weights(train_rows),
-                                           cfg.batch_size)
+    history.initial_objective = _objective(predict(data, model, train_rows, cfg.batch_size),
+                                           labels[train_rows], batch_weights(train_rows))
 
     for epoch in range(cfg.epochs):
         order = shuffle.permutation(train_rows)
@@ -193,9 +207,10 @@ def _run_loop(data, cfg, train_rows, seed, model_factory, batch_weights, after_b
 
     if not np.all(np.isfinite(model.flat_params())):
         raise NumericalError("non-finite model parameters after training")
-    history.final_objective = _objective(data, model, train_rows, batch_weights(train_rows),
-                                         cfg.batch_size)
-    return model, history
+    probs = predict(data, model, np.arange(data.n_samples), cfg.batch_size)
+    history.final_objective = _objective(probs[train_rows], labels[train_rows],
+                                         batch_weights(train_rows))
+    return model, history, probs
 
 
 def train_spectral(data: CohortDataset, basis: SpectralBasis, cfg: TrainConfig, split,
@@ -218,18 +233,18 @@ def train_spectral(data: CohortDataset, basis: SpectralBasis, cfg: TrainConfig, 
         g = grad_a(fld, losses, rows) / rows.size
         fld.coeffs_a = adam_step(opt_a, fld.coeffs_a, g, cfg.lr_a)
 
-    model, history = _run_loop(data, cfg, train_rows, cfg.seed, model_factory,
-                               lambda rows: fld.weights(rows), after_batch)
-    return TrainResult(model, fld, history)
+    model, history, probs = _run_loop(data, cfg, train_rows, cfg.seed, model_factory,
+                                      lambda rows: fld.weights(rows), after_batch)
+    return TrainResult(model, fld, history, probs)
 
 
 def train_baseline_none(data: CohortDataset, cfg: TrainConfig, split,
                         model_factory=default_model_factory) -> TrainResult:
     """Unweighted baseline: unit weights, otherwise the identical loop."""
     train_rows, _ = _split_arrays(data, split)
-    model, history = _run_loop(data, cfg, train_rows, cfg.seed, model_factory,
-                               lambda rows: np.ones(rows.size))
-    return TrainResult(model, None, history)
+    model, history, probs = _run_loop(data, cfg, train_rows, cfg.seed, model_factory,
+                                      lambda rows: np.ones(rows.size))
+    return TrainResult(model, None, history, probs)
 
 
 def train_only_graph(data: CohortDataset, basis: SpectralBasis, cfg: TrainConfig, split,
@@ -239,9 +254,9 @@ def train_only_graph(data: CohortDataset, basis: SpectralBasis, cfg: TrainConfig
     if basis.n_samples != data.n_samples:
         raise ValueError("basis rows must cover every sample")
     fld = WeightField(cfg.centering_c, np.ones(basis.m_count), basis, train_rows, test_rows)
-    model, history = _run_loop(data, cfg, train_rows, cfg.seed, model_factory,
-                               lambda rows: fld.weights(rows))
-    return TrainResult(model, fld, history)
+    model, history, probs = _run_loop(data, cfg, train_rows, cfg.seed, model_factory,
+                                      lambda rows: fld.weights(rows))
+    return TrainResult(model, fld, history, probs)
 
 
 def train_jtt(data: CohortDataset, cfg: TrainConfig, split,
@@ -257,10 +272,9 @@ def train_jtt(data: CohortDataset, cfg: TrainConfig, split,
     stage1 = train_baseline_none(data, cfg, split, model_factory)
 
     weight_by_row = np.ones(data.n_samples)
-    stage1_probs = predict(data, stage1.model, train_rows, cfg.batch_size)
-    correct = (stage1_probs >= 0.5) == (data.labels[train_rows] == 1)
+    correct = (stage1.probs[train_rows] >= 0.5) == (data.labels[train_rows] == 1)
     weight_by_row[train_rows] = np.where(correct, 1.0, cfg.jtt_lambda)
 
-    model, history = _run_loop(data, cfg, train_rows, cfg.seed + 1, model_factory,
-                               lambda rows: weight_by_row[rows])
-    return TrainResult(model, None, history, jtt_weights=weight_by_row[train_rows])
+    model, history, probs = _run_loop(data, cfg, train_rows, cfg.seed + 1, model_factory,
+                                      lambda rows: weight_by_row[rows])
+    return TrainResult(model, None, history, probs, jtt_weights=weight_by_row[train_rows])

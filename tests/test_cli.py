@@ -1,13 +1,18 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import specweight
 from specweight.cli import main
@@ -42,6 +47,23 @@ def run_cli(*args):
         [sys.executable, "-c", "from specweight.cli import entrypoint; entrypoint()",
          *[str(a) for a in args]],
         env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=120)
+
+
+def edit_csv_rows(path, edit):
+    """Rewrite the CSV file `path` after `edit(rows)` changes its rows in
+    place (header excluded)."""
+    rows = read_csv(path)
+    body = rows[1:]
+    edit(body)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows[:1] + body)
+
+
+def set_field(row, column, value):
+    """An `edit_csv_rows` edit that sets one field of one row."""
+    def edit(rows):
+        rows[row][column] = value
+    return edit
 
 
 def assert_data_error(proc):
@@ -306,15 +328,12 @@ class TestReport:
         assert main(["report", "--run", str(tmp_path)]) == 2
 
     @staticmethod
-    def edited_run(run_dir, tmp_path, edit):
+    def edited_run(run_dir, tmp_path, edit, name="predictions.csv"):
         """Copy of the run directory with `edit(rows)` applied to the rows of
-        predictions.csv (header excluded)."""
+        the CSV file `name` (header excluded)."""
         copy = tmp_path / "run"
         shutil.copytree(run_dir, copy)
-        rows = read_csv(copy / "predictions.csv")
-        edit(rows[1:])
-        with open(copy / "predictions.csv", "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh, lineterminator="\n").writerows(rows)
+        edit_csv_rows(copy / name, edit)
         return copy
 
     def test_single_class_fold_is_data_error(self, run_dir, tmp_path):
@@ -344,6 +363,61 @@ class TestReport:
         proc = run_cli("report", "--run", self.edited_run(run_dir, tmp_path, truncate_line_3))
         assert_data_error(proc)
         assert "predictions.csv:3:" in proc.stderr
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rows: rows.pop(0), "factors.csv: no row for subject"),
+        (lambda rows: rows.insert(2, list(rows[0])), "factors.csv:4: duplicate subject"),
+        (lambda rows: rows[1].pop(), "factors.csv:3: expected 4 fields, got 3"),
+        (set_field(3, 2, "high"), "factors.csv:5: could not convert"),
+        (set_field(3, 3, "inf"), "factors.csv:5: non-finite"),
+    ], ids=["missing-subject", "duplicate-subject", "short-row", "non-number", "infinite"])
+    def test_bad_factors_row_is_data_error(self, run_dir, tmp_path, edit, message):
+        proc = run_cli("report", "--run",
+                       self.edited_run(run_dir, tmp_path, edit, "factors.csv"))
+        assert_data_error(proc)
+        assert message in proc.stderr
+
+    @settings(max_examples=30, deadline=None)
+    @given(edits=st.lists(st.one_of(
+               st.tuples(st.just("drop"), st.integers(0, 999)),
+               st.tuples(st.just("duplicate"), st.integers(0, 999), st.integers(0, 999)),
+               st.tuples(st.just("field"), st.integers(0, 999), st.integers(0, 9),
+                         st.text(max_size=6))),
+               max_size=3),
+           header_cut=st.none() | st.integers(0, 40),
+           bad_byte_at=st.none() | st.integers(0, 200))
+    def test_mutated_factors_file_exits_0_or_2(self, run_dir, edits, header_cut, bad_byte_at):
+        """Dropped, duplicated or garbled factors.csv rows, a truncated header
+        line or a byte that is not UTF-8: `report` succeeds or reports a data
+        error, and never raises."""
+        def apply_edits(rows):
+            for kind, i, *rest in edits:
+                i %= len(rows)
+                if kind == "drop":
+                    del rows[i]
+                elif kind == "duplicate":
+                    rows.insert(rest[0] % (len(rows) + 1), list(rows[i]))
+                else:
+                    rows[i][rest[0] % len(rows[i])] = rest[1]
+
+        with tempfile.TemporaryDirectory() as tmp:
+            copy = Path(tmp) / "run"
+            shutil.copytree(run_dir, copy)
+            path = copy / "factors.csv"
+            edit_csv_rows(path, apply_edits)
+            raw = path.read_bytes()
+            if header_cut is not None:
+                end = raw.index(b"\n")
+                raw = raw[:min(header_cut, end)] + raw[end:]
+            if bad_byte_at is not None:
+                raw = raw[:bad_byte_at] + b"\xff" + raw[bad_byte_at:]
+            path.write_bytes(raw)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                rc = main(["report", "--run", str(copy), "--out", str(Path(tmp) / "out")])
+        assert rc in (0, 2)
+        if rc == 2:
+            assert err.getvalue().startswith("data error:")
 
 
 class TestSweep:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import logistic_factory
+from conftest import logistic_factory, small_gru_factory
 from specweight.evaluation import (
     DEFAULT_C_GRID,
     DEFAULT_K_GRID,
@@ -280,6 +280,35 @@ class TestCrossValidateAndSweep:
         assert {"fold", "scheme", "seed", "config", "initial_objective",
                 "final_objective", "epoch_losses"} <= set(m)
         assert len(m["epoch_losses"]) == 2
+
+    @pytest.mark.parametrize("scheme, trained_models", [
+        ("none", 1), ("spectral", 1), ("only_graph", 1), ("jtt", 2)])
+    def test_one_full_cohort_pass_per_trained_model(self, tiny_cohort, scheme,
+                                                    trained_models):
+        """Per trained model: the initial objective, the training batches and
+        one full-cohort pass, and no second pass over the train rows."""
+        data, factors, _ = tiny_cohort
+        batch_sizes = []
+
+        def counting_factory(feature_width, rng):
+            model = small_gru_factory(feature_width, rng)
+            forward = model.forward
+
+            def counted_forward(sequences):
+                batch_sizes.append(len(sequences))
+                return forward(sequences)
+
+            model.forward = counted_forward
+            return model
+
+        epochs, b, n = 2, 16, data.n_samples
+        cfg = TrainConfig(scheme=scheme, epochs=epochs, batch_size=b, k_neighbors=8,
+                          m_basis=4, seed=6)
+        run = cross_validate(data, factors, cfg, n_folds=3, model_factory=counting_factory)
+        n_train = [n - int(f.test_mask.sum()) for f in run.fold_results]
+        per_model = [-(-t // b) * (1 + epochs) + -(-n // b) for t in n_train]
+        assert len(batch_sizes) == trained_models * sum(per_model)
+        assert sum(batch_sizes) == trained_models * sum((1 + epochs) * t + n for t in n_train)
 
     def test_default_grids(self):
         assert DEFAULT_K_GRID == (10, 30, 50, 75, 100)

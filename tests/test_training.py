@@ -4,16 +4,19 @@ import pytest
 from conftest import logistic_factory, small_gru_factory
 from specweight.errors import NumericalError
 from specweight.factor_graph import SpectralBasis, basis_from_factors
+from specweight.predictor import bce_loss
 from specweight.synth import SynthSpec, generate
 from specweight.training import (
     AdamState,
     TrainConfig,
     adam_step,
+    predict,
     train_baseline_none,
     train_jtt,
     train_only_graph,
     train_spectral,
 )
+from specweight.weight_field import negativity_penalty
 
 
 def half_split(n):
@@ -82,6 +85,50 @@ class TestAdam:
             expected = expected - lr * (m / (1 - b1 ** step)) / (np.sqrt(v / (1 - b2 ** step)) + eps)
             assert np.max(np.abs(new - expected)) <= 1e-15
             params = new
+
+
+class TestPredict:
+    @pytest.fixture(scope="class")
+    def ragged(self):
+        """The default cohort with 1-24 visits per subject, a small GRU that
+        logs the lengths of every forward batch, and the lengths per row."""
+        data, _, _ = generate(SynthSpec(max_visits=24, seed=1))
+        model = small_gru_factory(data.feature_width, np.random.default_rng(0))
+        forward, model.batches = model.forward, []
+
+        def logged_forward(sequences):
+            model.batches.append([len(x) for x in sequences])
+            return forward(sequences)
+
+        model.forward = logged_forward
+        lengths = np.array([s.visits.shape[0] for s in data.subjects])
+        return data, model, lengths
+
+    @staticmethod
+    def one_at_a_time(data, model, rows):
+        return np.array([model.forward([data.subjects[i].visits])[0][0] for i in rows])
+
+    @pytest.mark.parametrize("chunk", [1, 7, 60, 1000])
+    def test_unsorted_ragged_rows_come_back_in_input_order(self, ragged, chunk):
+        data, model, lengths = ragged
+        rows = np.random.default_rng(3).permutation(data.n_samples)[:60]
+        assert lengths[rows].min() <= 2 and lengths[rows].max() == 24
+        model.batches.clear()
+        probs = predict(data, model, rows, chunk)
+        batches = list(model.batches)
+        assert probs.shape == (rows.size,)
+        assert np.max(np.abs(probs - self.one_at_a_time(data, model, rows))) <= 1e-12
+        # Chunks of `chunk` rows, shortest sequences first.
+        assert [len(b) for b in batches] == [min(chunk, rows.size - s)
+                                             for s in range(0, rows.size, chunk)]
+        assert sum(batches, []) == sorted(lengths[rows].tolist())
+
+    def test_equal_length_rows(self, ragged):
+        data, model, lengths = ragged
+        rows = np.flatnonzero(lengths == 12)[::-1]
+        assert rows.size > 7
+        probs = predict(data, model, rows, 7)
+        assert np.max(np.abs(probs - self.one_at_a_time(data, model, rows))) <= 1e-12
 
 
 class TestTrainConfig:
@@ -197,6 +244,34 @@ class TestSpectral:
                            model_factory=lambda fw, rng: PoisonedModel(fw, rng))
 
 
+class TestFullCohortPass:
+    def test_probs_are_the_final_model_on_every_subject(self, cohort_and_basis):
+        data, _, basis = cohort_and_basis
+        cfg = TrainConfig(scheme="spectral", epochs=2, lr_a=1e-3, batch_size=16, seed=30)
+        result = train_spectral(data, basis, cfg, half_split(data.n_samples),
+                                model_factory=small_gru_factory)
+        rescored = predict(data, result.model, np.arange(data.n_samples), 5)
+        assert result.probs.shape == (data.n_samples,)
+        assert np.max(np.abs(result.probs - rescored)) <= 1e-12
+
+    @pytest.mark.parametrize("scheme", ["spectral", "jtt"])
+    def test_final_objective_reads_result_probs(self, cohort_and_basis, scheme):
+        data, _, basis = cohort_and_basis
+        train_rows, test_rows = half_split(data.n_samples)
+        cfg = TrainConfig(scheme=scheme, epochs=2, lr_a=1e-3, batch_size=16, seed=31)
+        if scheme == "spectral":
+            result = train_spectral(data, basis, cfg, (train_rows, test_rows),
+                                    model_factory=small_gru_factory)
+            w = result.weight_field.weights(train_rows)
+        else:
+            result = train_jtt(data, cfg, (train_rows, test_rows),
+                               model_factory=small_gru_factory)
+            w = result.jtt_weights
+        losses = bce_loss(result.probs[train_rows], data.labels[train_rows])
+        expected = (float(w @ losses) + negativity_penalty(w)) / train_rows.size
+        assert result.history.final_objective == expected
+
+
 class TestBaselineNone:
     def test_zero_init_model_starts_at_ln2(self, cohort_and_basis):
         data, _, _ = cohort_and_basis
@@ -262,6 +337,18 @@ class TestJTT:
         result = train_jtt(data, cfg, half_split(data.n_samples),
                            model_factory=logistic_factory)
         assert set(np.unique(result.jtt_weights)) <= {1.0, 2.0}
+
+    def test_stage_two_weights_mark_stage_one_mistakes(self, tiny_cohort):
+        data, _, _ = tiny_cohort
+        split = half_split(data.n_samples)
+        train_rows = split[0]
+        cfg = TrainConfig(scheme="jtt", epochs=2, jtt_lambda=3.0, batch_size=16, seed=18)
+        result = train_jtt(data, cfg, split, model_factory=small_gru_factory)
+        stage1 = train_baseline_none(data, cfg, split, model_factory=small_gru_factory)
+        correct = (stage1.probs[train_rows] >= 0.5) == (data.labels[train_rows] == 1)
+        assert not correct.all()
+        assert np.array_equal(result.jtt_weights, np.where(correct, 1.0, 3.0))
+        assert set(np.unique(result.jtt_weights)) == {1.0, 3.0}
 
     def test_lambda_one_equals_unweighted_rerun(self, tiny_cohort):
         data, _, _ = tiny_cohort
