@@ -16,8 +16,8 @@ from .evaluation import (
     mann_whitney_u,
     median_split_from_arrays,
     median_split_gap,
+    pooled_analysis,
     stratified_kfold,
-    subcohort_tables,
     sweep,
 )
 from .factor_graph import (
@@ -55,8 +55,8 @@ __all__ = [
     "adam_step", "balanced_accuracy", "basis_from_factors", "bce_loss",
     "build_graph", "cross_validate", "describe", "f1_score", "generate",
     "grad_a", "laplacian", "mann_whitney_u", "median_split_from_arrays",
-    "median_split_gap", "negativity_penalty", "predict", "read_cohort_csv", "select_m_changepoint",
-    "spectral_basis", "standardize", "stratified_kfold", "subcohort_tables",
+    "median_split_gap", "negativity_penalty", "pooled_analysis", "predict", "read_cohort_csv",
+    "select_m_changepoint", "spectral_basis", "standardize", "stratified_kfold",
     "sweep", "symmetric_eigen", "train_baseline_none", "train_jtt",
     "train_only_graph", "train_spectral", "write_cohort_csv",
 ]

@@ -4,8 +4,12 @@ Every command is deterministic given its input files, flags, seed, and BLAS
 thread count. Exit codes: 0 success, 1 usage error, 2 data error, 3
 numerical failure.
 
-Config files are flat key=value text (# comments allowed); any key can be
-overridden by the CLI flag of the same name.
+Settings are dataclass fields (`SynthSpec`'s for synth, `TrainConfig`'s for
+graph, train and sweep), renamed by `_ALIASES`, plus the CLI-only `folds`,
+`k_grid` and `c_grid`. A flat key=value config file (# comments allowed) sets
+them by key, and the flag `--<key>` overrides it; sweep's `--k` and `--c` set
+`k_grid` and `c_grid`. graph takes `seed` only so that train config files
+work for it too: it draws no random numbers.
 """
 
 from __future__ import annotations
@@ -15,8 +19,9 @@ import csv
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, is_dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -26,7 +31,7 @@ from .dataset import read_cohort_csv, write_cohort_csv, write_groups_csv
 from .errors import DataError, NumericalError
 from .factor_graph import basis_from_factors
 from .predictor import RecurrentClassifier, save_checkpoint
-from .synth import NoiseRule, SynthSpec, describe, generate
+from .synth import SynthSpec, describe, generate
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -62,38 +67,86 @@ def _read_config_file(path) -> dict[str, str]:
     return out
 
 
-def _effective(args, defaults: dict, casts: dict) -> dict:
-    """Merge builtin defaults, config file values, and explicit CLI flags."""
-    merged = dict(defaults)
-    if getattr(args, "config", None):
-        for key, raw in _read_config_file(args.config).items():
-            if key not in defaults:
-                raise DataError(f"unknown config key {key!r}")
-            try:
-                merged[key] = casts[key](raw)
-            except ValueError as exc:
-                raise DataError(f"config key {key}: {exc}") from None
-    for key in defaults:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            merged[key] = flag_value
-    return merged
-
-
 def _parse_m(text: str):
     if text == "auto":
         return "auto"
     try:
         return int(text)
     except ValueError:
-        raise ValueError(f"m must be an integer or 'auto', got {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"m must be an integer or 'auto', got {text!r}") from None
 
 
 def _parse_grid(text: str, cast):
     try:
         return tuple(cast(part) for part in text.split(",") if part.strip() != "")
     except ValueError:
-        raise ValueError(f"expected a comma-separated list, got {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated list, got {text!r}") from None
+
+
+# Config keys (and flags) that differ from the dataclass field they set.
+_ALIASES = {"batch_size": "batch", "k_neighbors": "k", "centering_c": "c", "m_basis": "m",
+            "factor": "noise_factor", "threshold": "noise_threshold"}
+# A field's cast follows from its annotation; fields of any other type
+# (SynthSpec.factors) are not settings.
+_CASTS = {int: int, float: float, str: str, int | str: _parse_m}
+_FLAGS = {"k_grid": "--k", "c_grid": "--c"}
+
+
+def _flag(key: str) -> str:
+    return _FLAGS.get(key, "--" + key.replace("_", "-"))
+
+
+def _settings(cls) -> dict:
+    """Config key -> (default, cast) for each settable field of dataclass
+    `cls`, in field order, with a nested dataclass's fields in its place."""
+    out, default = {}, cls()
+    for name, hint in get_type_hints(cls).items():
+        if is_dataclass(hint):
+            out.update(_settings(hint))
+        elif hint in _CASTS:
+            out[_ALIASES.get(name, name)] = (getattr(default, name), _CASTS[hint])
+    return out
+
+
+def _build(cls, cfg: dict):
+    """Dataclass `cls` with each field whose config key is in `cfg` set from
+    it; the other fields keep their defaults."""
+    kwargs = {}
+    for name, hint in get_type_hints(cls).items():
+        key = _ALIASES.get(name, name)
+        if is_dataclass(hint):
+            kwargs[name] = _build(hint, cfg)
+        elif key in cfg:
+            kwargs[name] = cfg[key]
+    return cls(**kwargs)
+
+
+def _effective(args, settings: dict) -> dict:
+    """Merge defaults, config file values, and explicit CLI flags."""
+    merged = {key: default for key, (default, _) in settings.items()}
+    if getattr(args, "config", None):
+        for key, raw in _read_config_file(args.config).items():
+            if key not in settings:
+                owner = next((k for k in settings if _flag(k) == _flag(key)), None)
+                hint = f" (the config key for {_flag(key)} is {owner})" if owner else ""
+                raise DataError(f"unknown config key {key!r}{hint}")
+            try:
+                merged[key] = settings[key][1](raw)
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise DataError(f"config key {key}: {exc}") from None
+    for key in settings:
+        flag_value = getattr(args, key, None)
+        if flag_value is not None:
+            merged[key] = flag_value
+    return merged
+
+
+def _add_settings(parser, settings: dict, helps=None):
+    for key, (_, cast) in settings.items():
+        parser.add_argument(_flag(key), dest=key, type=cast, help=(helps or {}).get(key),
+                            choices=tr.SCHEMES if key == "scheme" else None)
 
 
 def _jsonify(obj):
@@ -136,29 +189,25 @@ def _out_dir(path) -> Path:
 # ---------------------------------------------------------------------------
 # commands
 
-_SYNTH_DEFAULTS = {
-    "n_subjects": 400, "feature_width": 20, "min_visits": 1, "max_visits": 5,
-    "signal_strength": 1.0, "drift_scale": 0.05, "noise_factor": "group",
-    "noise_threshold": 0.0, "flip_above": 0.05, "flip_at_or_below": 0.40, "seed": 0,
-}
-_SYNTH_CASTS = {
-    "n_subjects": int, "feature_width": int, "min_visits": int, "max_visits": int,
-    "signal_strength": float, "drift_scale": float, "noise_factor": str,
-    "noise_threshold": float, "flip_above": float, "flip_at_or_below": float, "seed": int,
-}
+def _train_settings() -> dict:
+    """TrainConfig's settings plus the CLI-only fold count, which follows
+    batch, where run_summary.json's config has always listed it."""
+    items = list(_settings(tr.TrainConfig).items())
+    at = [key for key, _ in items].index("batch") + 1
+    return dict(items[:at] + [("folds", (5, int))] + items[at:])
+
+
+_SYNTH = _settings(SynthSpec)
+_TRAIN = _train_settings()
+_GRAPH = {key: _TRAIN[key] for key in ("k", "m", "seed")}
+_SWEEP = {"k_grid": (ev.DEFAULT_K_GRID, lambda text: _parse_grid(text, int)),
+          "c_grid": (ev.DEFAULT_C_GRID, lambda text: _parse_grid(text, float)),
+          **{key: _TRAIN[key] for key in ("epochs", "lr_model", "lr_a", "batch", "folds",
+                                          "m", "seed")}}
 
 
 def cmd_synth(args) -> int:
-    cfg = _effective(args, _SYNTH_DEFAULTS, _SYNTH_CASTS)
-    spec = SynthSpec(
-        n_subjects=cfg["n_subjects"], feature_width=cfg["feature_width"],
-        min_visits=cfg["min_visits"], max_visits=cfg["max_visits"],
-        noise=NoiseRule(cfg["noise_factor"], cfg["noise_threshold"],
-                        cfg["flip_above"], cfg["flip_at_or_below"]),
-        signal_strength=cfg["signal_strength"], drift_scale=cfg["drift_scale"],
-        seed=cfg["seed"],
-    )
-    data, factors, groups = generate(spec)
+    data, factors, groups = generate(_build(SynthSpec, _effective(args, _SYNTH)))
     out = _out_dir(args.out)
     write_cohort_csv(out / "cohort.csv", data, factors)
     write_groups_csv(out / "groups.csv", data.subject_ids, groups)
@@ -169,12 +218,8 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-_GRAPH_DEFAULTS = {"k": 50, "m": "auto", "seed": 0}
-_GRAPH_CASTS = {"k": int, "m": _parse_m, "seed": int}
-
-
 def cmd_graph(args) -> int:
-    cfg = _effective(args, _GRAPH_DEFAULTS, _GRAPH_CASTS)
+    cfg = _effective(args, _GRAPH)
     data, factors = read_cohort_csv(args.cohort)
     m = cfg["m"]
     basis, info = basis_from_factors(factors, cfg["k"], m)
@@ -211,30 +256,6 @@ def cmd_graph(args) -> int:
     return EXIT_OK
 
 
-_TRAIN_DEFAULTS = {
-    "scheme": "spectral", "epochs": 100, "lr_model": 1e-4, "lr_a": 1e-5,
-    "batch": 32, "folds": 5, "k": 50, "c": 0.65, "m": "auto",
-    "jtt_lambda": 2.0, "seed": 0,
-}
-_TRAIN_CASTS = {
-    "scheme": str, "epochs": int, "lr_model": float, "lr_a": float,
-    "batch": int, "folds": int, "k": int, "c": float, "m": _parse_m,
-    "jtt_lambda": float, "seed": int,
-}
-
-
-def _train_config(cfg: dict) -> tr.TrainConfig:
-    try:
-        return tr.TrainConfig(
-            scheme=cfg["scheme"], epochs=cfg["epochs"], lr_model=cfg["lr_model"],
-            lr_a=cfg["lr_a"], batch_size=cfg["batch"], k_neighbors=cfg["k"],
-            centering_c=cfg["c"], m_basis=cfg["m"], jtt_lambda=cfg["jtt_lambda"],
-            seed=cfg["seed"],
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-
-
 def _write_run_files(out: Path, run: ev.CVRun, subject_ids, factors, cfg: dict, cohort: str):
     weight_rows, pred_rows = [], []
     for fr in run.fold_results:
@@ -264,8 +285,8 @@ def _write_run_files(out: Path, run: ev.CVRun, subject_ids, factors, cfg: dict, 
 
 
 def cmd_train(args) -> int:
-    cfg = _effective(args, _TRAIN_DEFAULTS, _TRAIN_CASTS)
-    train_cfg = _train_config(cfg)
+    cfg = _effective(args, _TRAIN)
+    train_cfg = _build(tr.TrainConfig, cfg)
     data, factors = read_cohort_csv(args.cohort)
     run = ev.cross_validate(data, factors, train_cfg, n_folds=cfg["folds"])
     out = _out_dir(args.out)
@@ -280,11 +301,7 @@ def cmd_train(args) -> int:
 
 def cmd_report(args) -> int:
     run_dir = Path(args.run)
-    try:
-        summary = json.loads((run_dir / "run_summary.json").read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise DataError(f"not a run directory: {exc}") from None
-
+    summary = _read_run_summary(run_dir / "run_summary.json")
     preds = _read_table(run_dir / "predictions.csv",
                         ["subject_id", "fold", "split", "y_true", "prob"],
                         [str, int, str, int, float])
@@ -293,46 +310,29 @@ def cmd_report(args) -> int:
     factor_names, factors_by_id = _read_factors(run_dir / "factors.csv")
 
     weight_by_key = {(r[0], r[1]): r[3] for r in weights}
-    n_folds = int(summary["n_folds"])
-
-    per_fold, pooled = [], []
-    for fold in range(n_folds):
-        test = [r for r in preds if r[1] == fold and r[2] == "test"]
-        y = np.array([r[3] for r in test])
-        p = np.array([r[4] for r in test])
-        try:
-            per_fold.append({
-                "fold": fold,
-                "bacc": ev.balanced_accuracy(y, p),
-                "f1": ev.f1_score(y, p),
-            })
-        except ValueError as exc:
-            where = run_dir / "predictions.csv"
-            raise DataError(f"{where}: fold {fold} test rows: {exc}") from None
-        for r in test:
-            pooled.append((r[0], fold, r[3], r[4], weight_by_key.get((r[0], fold), float("nan"))))
-
-    bacc = np.array([f["bacc"] for f in per_fold])
-    f1 = np.array([f["f1"] for f in per_fold])
-    ids = [r[0] for r in pooled]
-    y = np.array([r[2] for r in pooled])
-    prob = np.array([r[3] for r in pooled])
-    w = np.array([r[4] for r in pooled])
-
-    gap = asdict(ev.median_split_from_arrays(y, prob, w))
-    missing = next((i for i in ids if i not in factors_by_id), None)
+    n_folds = summary["n_folds"]
+    # The summary's folds in order, each in file order: CVRun.pooled_test order.
+    test = sorted((r for r in preds if r[2] == "test" and 0 <= r[1] < n_folds),
+                  key=lambda r: r[1])
+    missing = next((r[0] for r in test if r[0] not in factors_by_id), None)
     if missing is not None:
         raise DataError(f"{run_dir / 'factors.csv'}: no row for subject {missing!r}")
-    factor_values = np.array([factors_by_id[i] for i in ids])
+    try:
+        bacc, f1, gap, tables = ev.pooled_analysis(
+            [r[1] for r in test], [r[3] for r in test], [r[4] for r in test],
+            [weight_by_key.get((r[0], r[1]), float("nan")) for r in test],
+            np.array([factors_by_id[r[0]] for r in test]), factor_names, n_folds)
+    except ValueError as exc:
+        raise DataError(f"{run_dir / 'predictions.csv'}: {exc}") from None
+
     subcohorts = {}
     out = _out_dir(args.out) if args.out else run_dir
-    for k, name in enumerate(factor_names):
-        table = ev.factor_subcohort_table(w, y, prob, factor_values[:, k], name)
-        subcohorts[name] = {
+    for table in tables:
+        subcohorts[table.factor] = {
             "groups": [asdict(g) for g in table.groups],
             "pairwise": [asdict(p) for p in table.pairwise],
         }
-        _write_csv(out / f"subcohorts_{name}.csv",
+        _write_csv(out / f"subcohorts_{table.factor}.csv",
                    ["group", "n", "mean_weight", "bacc"],
                    [[g.label, g.n, _fmt(g.mean_weight),
                      "" if g.bacc is None else _fmt(g.bacc)] for g in table.groups])
@@ -346,14 +346,31 @@ def cmd_report(args) -> int:
             "f1_mean": float(f1.mean()), "f1_std": float(f1.std()),
             "bacc_formatted": ev.format_mean_std(bacc),
             "f1_formatted": ev.format_mean_std(f1),
-            "per_fold": per_fold,
+            "per_fold": [{"fold": fold, "bacc": b, "f1": f}
+                         for fold, (b, f) in enumerate(zip(bacc, f1))],
         },
-        "median_split": gap,
+        "median_split": asdict(gap),
         "subcohorts": subcohorts,
     }
     _write_json(out / "report.json", report)
     print(json.dumps(_jsonify(report["overall"]), indent=2))
     return EXIT_OK
+
+
+def _read_run_summary(path) -> dict:
+    """The run's summary; anything but a JSON object with scheme, seed and an
+    integer n_folds >= 2 is a DataError naming the file."""
+    try:
+        summary = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise DataError(f"not a run directory: {exc}") from None
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    if not (isinstance(summary, dict) and "scheme" in summary and "seed" in summary
+            and type(summary.get("n_folds")) is int and summary["n_folds"] >= 2):
+        raise DataError(f"{path}: expected a JSON object with scheme, seed and an "
+                        "integer n_folds >= 2")
+    return summary
 
 
 def _read_table(path, expected_header, casts):
@@ -403,16 +420,10 @@ def _read_factors(path):
     return names, by_id
 
 
-_SWEEP_DEFAULTS = dict(_TRAIN_DEFAULTS, k_grid="10,30,50,75,100",
-                       c_grid="0.5,0.65,0.7,0.75,1.0")
-_SWEEP_CASTS = dict(_TRAIN_CASTS, k_grid=str, c_grid=str)
-
-
 def cmd_sweep(args) -> int:
-    cfg = _effective(args, _SWEEP_DEFAULTS, _SWEEP_CASTS)
-    base_cfg = _train_config(dict(cfg, scheme="spectral"))
-    k_values = _parse_grid(cfg["k_grid"], int)
-    c_values = _parse_grid(cfg["c_grid"], float)
+    cfg = _effective(args, _SWEEP)
+    base_cfg = _build(tr.TrainConfig, cfg)
+    k_values, c_values = cfg["k_grid"], cfg["c_grid"]
     if not k_values or not c_values:
         raise _UsageError("k and c grids must be non-empty")
     data, factors = read_cohort_csv(args.cohort)
@@ -441,22 +452,16 @@ def build_parser() -> _Parser:
     p_synth = sub.add_parser("synth", help="generate a synthetic cohort CSV")
     p_synth.add_argument("--out", required=True)
     p_synth.add_argument("--config", help="key=value spec file")
-    p_synth.add_argument("--seed", type=int)
-    for key in ("n_subjects", "feature_width", "min_visits", "max_visits"):
-        p_synth.add_argument(f"--{key.replace('_', '-')}", dest=key, type=int)
-    for key in ("signal_strength", "drift_scale", "flip_above", "flip_at_or_below",
-                "noise_threshold"):
-        p_synth.add_argument(f"--{key.replace('_', '-')}", dest=key, type=float)
-    p_synth.add_argument("--noise-factor", dest="noise_factor")
+    _add_settings(p_synth, _SYNTH)
     p_synth.set_defaults(func=cmd_synth)
 
     p_graph = sub.add_parser("graph", help="build the factor graph and its basis")
     p_graph.add_argument("--cohort", required=True)
     p_graph.add_argument("--out", required=True)
     p_graph.add_argument("--config")
-    p_graph.add_argument("--k", type=int)
-    p_graph.add_argument("--m")
-    p_graph.add_argument("--seed", type=int)
+    _add_settings(p_graph, _GRAPH, {
+        "seed": "accepted so that train config files also work here; graph draws "
+                "no random numbers, so the seed does not change its output"})
     p_graph.add_argument("--dump-graph", action="store_true")
     p_graph.set_defaults(func=cmd_graph)
 
@@ -464,17 +469,7 @@ def build_parser() -> _Parser:
     p_train.add_argument("--cohort", required=True)
     p_train.add_argument("--out", required=True)
     p_train.add_argument("--config")
-    p_train.add_argument("--scheme", choices=tr.SCHEMES)
-    p_train.add_argument("--epochs", type=int)
-    p_train.add_argument("--lr-model", dest="lr_model", type=float)
-    p_train.add_argument("--lr-a", dest="lr_a", type=float)
-    p_train.add_argument("--batch", type=int)
-    p_train.add_argument("--folds", type=int)
-    p_train.add_argument("--k", type=int)
-    p_train.add_argument("--c", type=float)
-    p_train.add_argument("--m")
-    p_train.add_argument("--jtt-lambda", dest="jtt_lambda", type=float)
-    p_train.add_argument("--seed", type=int)
+    _add_settings(p_train, _TRAIN)
     p_train.set_defaults(func=cmd_train)
 
     p_report = sub.add_parser("report", help="summarize a training run directory")
@@ -486,15 +481,8 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--cohort", required=True)
     p_sweep.add_argument("--out", required=True)
     p_sweep.add_argument("--config")
-    p_sweep.add_argument("--k", dest="k_grid")
-    p_sweep.add_argument("--c", dest="c_grid")
-    p_sweep.add_argument("--epochs", type=int)
-    p_sweep.add_argument("--lr-model", dest="lr_model", type=float)
-    p_sweep.add_argument("--lr-a", dest="lr_a", type=float)
-    p_sweep.add_argument("--batch", type=int)
-    p_sweep.add_argument("--folds", type=int)
-    p_sweep.add_argument("--m")
-    p_sweep.add_argument("--seed", type=int)
+    _add_settings(p_sweep, _SWEEP, {"k_grid": "comma-separated K values (config key k_grid)",
+                                    "c_grid": "comma-separated c values (config key c_grid)"})
     p_sweep.set_defaults(func=cmd_sweep)
 
     return parser
@@ -504,11 +492,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "m", None) is not None and isinstance(args.m, str):
-            try:
-                args.m = _parse_m(args.m)
-            except ValueError as exc:
-                raise _UsageError(str(exc)) from None
         return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -378,12 +378,24 @@ def factor_subcohort_table(weights, y, prob, factor_values, factor_name: str) ->
     return SubcohortReport(factor_name, groups, pairwise)
 
 
-def subcohort_tables(run: CVRun, factors: FactorTable) -> list[SubcohortReport]:
-    rows, _, y, prob, w = run.pooled_test()
-    return [
-        factor_subcohort_table(w, y, prob, factors.values[rows, k], name)
-        for k, name in enumerate(factors.factor_names)
-    ]
+def pooled_analysis(folds, y, prob, weights, factor_values, factor_names, n_folds: int):
+    """(fold_bacc, fold_f1, MedianSplitGap, one SubcohortReport per factor)
+    over test samples pooled across folds, one array entry (and one
+    `factor_values` row) per sample in `CVRun.pooled_test` order. A fold in
+    `range(n_folds)` without both classes is a ValueError naming the fold."""
+    folds, y, prob = np.asarray(folds), np.asarray(y), np.asarray(prob)
+    fold_bacc, fold_f1 = [], []
+    for fold in range(n_folds):
+        test = folds == fold
+        try:
+            fold_bacc.append(balanced_accuracy(y[test], prob[test]))
+            fold_f1.append(f1_score(y[test], prob[test]))
+        except ValueError as exc:
+            raise ValueError(f"fold {fold} test rows: {exc}") from None
+    gap = median_split_from_arrays(y, prob, weights)
+    tables = [factor_subcohort_table(weights, y, prob, factor_values[:, k], name)
+              for k, name in enumerate(factor_names)]
+    return np.array(fold_bacc), np.array(fold_f1), gap, tables
 
 
 # ---------------------------------------------------------------------------

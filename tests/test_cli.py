@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -7,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -15,9 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specweight
-from specweight.cli import main
+from specweight import evaluation as ev
+from specweight.cli import build_parser, main
+from specweight.dataset import read_cohort_csv
 from specweight.factor_graph import basis_from_factors
 from specweight.predictor import load_checkpoint
+from specweight.synth import SynthSpec
+from specweight.training import TrainConfig
 
 
 def read_csv(path):
@@ -221,6 +227,15 @@ class TestGraph:
         m_used = [json.loads(runs[(t, 0)]["graph_summary.json"])["m_used"] for t in (1, 2)]
         assert m_used[0] == m_used[1]
 
+    def test_seed_changes_no_output(self, cohort_dir, tmp_path):
+        for seed in ("0", "99"):
+            assert main(["graph", "--cohort", str(cohort_dir / "cohort.csv"), "--k", "8",
+                         "--out", str(tmp_path / seed), "--seed", seed, "--dump-graph"]) == 0
+        files = sorted(p.name for p in (tmp_path / "0").iterdir())
+        assert files == sorted(p.name for p in (tmp_path / "99").iterdir())
+        for name in files:
+            assert (tmp_path / "0" / name).read_bytes() == (tmp_path / "99" / name).read_bytes()
+
     def test_missing_cohort_is_data_error(self, tmp_path):
         assert main(["graph", "--cohort", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path)]) == 2
@@ -324,8 +339,49 @@ class TestReport:
         summary = json.loads((run_dir / "run_summary.json").read_text())
         assert report["overall"]["per_fold"][0]["bacc"] == summary["fold_bacc"][0]
 
+    def test_report_matches_in_memory_analysis(self, cohort_dir, run_dir, tmp_path):
+        """report.json from the run CSVs equals `pooled_analysis` over the
+        in-memory CV run of the same config and seed."""
+        assert main(["report", "--run", str(run_dir), "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        data, factors = read_cohort_csv(cohort_dir / "cohort.csv")
+        cfg = TrainConfig(epochs=2, batch_size=16, k_neighbors=8, m_basis=4, seed=4)
+        run = ev.cross_validate(data, factors, cfg, n_folds=5)
+        rows, folds, y, prob, w = run.pooled_test()
+        bacc, f1, gap, tables = ev.pooled_analysis(
+            folds, y, prob, w, factors.values[rows], factors.factor_names, run.n_folds)
+
+        assert report["overall"]["per_fold"] == [
+            {"fold": fold, "bacc": b, "f1": f} for fold, (b, f) in enumerate(zip(bacc, f1))]
+        assert not gap.degenerate  # no NaN, which report.json stores as null
+        assert report["median_split"] == asdict(gap)
+        assert report["subcohorts"] == {
+            t.factor: {"groups": [asdict(g) for g in t.groups],
+                       "pairwise": [asdict(p) for p in t.pairwise]} for t in tables}
+
     def test_not_a_run_dir(self, tmp_path):
         assert main(["report", "--run", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("damage", [
+        lambda s: {k: v for k, v in s.items() if k != "n_folds"},
+        lambda s: {k: v for k, v in s.items() if k != "scheme"},
+        lambda s: {k: v for k, v in s.items() if k != "seed"},
+        lambda s: dict(s, n_folds=0),
+        lambda s: dict(s, n_folds="five"),
+        lambda s: [s],
+        None,
+    ], ids=["no-n_folds", "no-scheme", "no-seed", "zero-folds", "text-n_folds", "list",
+            "invalid-json"])
+    def test_damaged_run_summary_is_data_error(self, run_dir, tmp_path, capsys, damage):
+        copy = tmp_path / "run"
+        shutil.copytree(run_dir, copy)
+        path = copy / "run_summary.json"
+        text = path.read_text()
+        path.write_text(text[:-3] if damage is None else json.dumps(damage(json.loads(text))))
+        assert main(["report", "--run", str(copy)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:")
+        assert "run_summary.json" in err
 
     @staticmethod
     def edited_run(run_dir, tmp_path, edit, name="predictions.csv"):
@@ -435,9 +491,115 @@ class TestSweep:
         assert all(np.isfinite(g) for g in gaps)
         assert (a / "sweep_grid.csv").read_bytes() == (b / "sweep_grid.csv").read_bytes()
 
+    def test_config_keys_match_flags(self, cohort_dir, tmp_path):
+        cfgfile = tmp_path / "sweep.cfg"
+        cfgfile.write_text("k_grid=5,10\nc_grid=0.5,0.65\nepochs=1\nbatch=16\nm=3\nseed=3\n"
+                           "folds=5\nlr_model=1e-4\nlr_a=1e-5\n")
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["sweep", "--cohort", str(cohort_dir / "cohort.csv"), "--out", str(a),
+                     "--config", str(cfgfile)]) == 0
+        assert main(["sweep", "--cohort", str(cohort_dir / "cohort.csv"), "--out", str(b),
+                     "--k", "5,10", "--c", "0.5,0.65", "--epochs", "1", "--batch", "16",
+                     "--m", "3", "--seed", "3"]) == 0
+        assert (a / "sweep_grid.csv").read_bytes() == (b / "sweep_grid.csv").read_bytes()
+
+    @pytest.mark.parametrize("line, message", [
+        ("k=30", "unknown config key 'k' (the config key for --k is k_grid)"),
+        ("k=10,30", "unknown config key 'k' (the config key for --k is k_grid)"),
+        ("c=0.9", "unknown config key 'c' (the config key for --c is c_grid)"),
+        ("scheme=none", "unknown config key 'scheme'\n"),
+        ("jtt_lambda=5", "unknown config key 'jtt_lambda'\n"),
+    ], ids=["k", "k-list", "c", "scheme", "jtt_lambda"])
+    def test_train_only_config_key_is_data_error(self, cohort_dir, tmp_path, capsys,
+                                                line, message):
+        cfgfile = tmp_path / "sweep.cfg"
+        cfgfile.write_text(f"epochs=1\n{line}\n")
+        assert main(["sweep", "--cohort", str(cohort_dir / "cohort.csv"),
+                     "--out", str(tmp_path / "out"), "--config", str(cfgfile)]) == 2
+        assert capsys.readouterr().err == f"data error: {message}" + (
+            "" if message.endswith("\n") else "\n")
+        assert not (tmp_path / "out").exists()
+
     def test_empty_grid_is_usage_error(self, cohort_dir, tmp_path):
         assert main(["sweep", "--cohort", str(cohort_dir / "cohort.csv"),
                      "--out", str(tmp_path), "--k", ""]) == 1
+
+
+# Every subcommand's (option string, dest) pairs, help excluded.
+SURFACE = {
+    "synth": [("--out", "out"), ("--config", "config"), ("--seed", "seed"),
+              ("--n-subjects", "n_subjects"), ("--feature-width", "feature_width"),
+              ("--min-visits", "min_visits"), ("--max-visits", "max_visits"),
+              ("--signal-strength", "signal_strength"), ("--drift-scale", "drift_scale"),
+              ("--flip-above", "flip_above"), ("--flip-at-or-below", "flip_at_or_below"),
+              ("--noise-threshold", "noise_threshold"), ("--noise-factor", "noise_factor")],
+    "graph": [("--cohort", "cohort"), ("--out", "out"), ("--config", "config"), ("--k", "k"),
+              ("--m", "m"), ("--seed", "seed"), ("--dump-graph", "dump_graph")],
+    "train": [("--cohort", "cohort"), ("--out", "out"), ("--config", "config"),
+              ("--scheme", "scheme"), ("--epochs", "epochs"), ("--lr-model", "lr_model"),
+              ("--lr-a", "lr_a"), ("--batch", "batch"), ("--folds", "folds"), ("--k", "k"),
+              ("--c", "c"), ("--m", "m"), ("--jtt-lambda", "jtt_lambda"), ("--seed", "seed")],
+    "report": [("--run", "run"), ("--out", "out")],
+    "sweep": [("--cohort", "cohort"), ("--out", "out"), ("--config", "config"),
+              ("--k", "k_grid"), ("--c", "c_grid"), ("--epochs", "epochs"),
+              ("--lr-model", "lr_model"), ("--lr-a", "lr_a"), ("--batch", "batch"),
+              ("--folds", "folds"), ("--m", "m"), ("--seed", "seed")],
+}
+
+
+class TestSurface:
+    def test_option_strings_and_dests(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert sorted(sub.choices) == sorted(SURFACE)
+        for name, parser in sub.choices.items():
+            got = [(opt, a.dest) for a in parser._actions for opt in a.option_strings
+                   if a.dest != "help"]
+            assert sorted(got) == sorted(SURFACE[name]), name
+
+    def test_no_flags_resolve_to_dataclass_defaults(self, cohort_dir, tmp_path, monkeypatch):
+        import specweight.cli as cli
+
+        class Called(Exception):
+            pass
+
+        def stop(*args, **kwargs):
+            raise Called(args, kwargs)
+
+        cohort = str(cohort_dir / "cohort.csv")
+        for owner, name, argv in [
+                (cli, "generate", ["synth"]),
+                (cli, "basis_from_factors", ["graph", "--cohort", cohort]),
+                (cli.ev, "cross_validate", ["train", "--cohort", cohort]),
+                (cli.ev, "sweep", ["sweep", "--cohort", cohort])]:
+            monkeypatch.setattr(owner, name, stop)
+            with pytest.raises(Called) as called:
+                main(argv + ["--out", str(tmp_path / argv[0])])
+            args, kwargs = called.value.args
+            if name == "generate":
+                assert args == (SynthSpec(),) and kwargs == {}
+            elif name == "basis_from_factors":
+                assert args[1:] == (50, "auto") and kwargs == {}
+            elif name == "cross_validate":
+                assert args[2] == TrainConfig() and kwargs == {"n_folds": 5}
+            else:
+                assert args[2:] == (TrainConfig(), ev.DEFAULT_K_GRID, ev.DEFAULT_C_GRID)
+                assert kwargs == {"n_folds": 5}
+
+    def test_config_aliases_round_trip_into_run_summary(self, cohort_dir, tmp_path):
+        cfgfile = tmp_path / "train.cfg"
+        cfgfile.write_text("batch=16\nk=8\nc=0.7\nm=3\nepochs=1\n")
+        out = tmp_path / "run"
+        assert main(["train", "--cohort", str(cohort_dir / "cohort.csv"), "--out", str(out),
+                     "--config", str(cfgfile)]) == 0
+        summary = json.loads((out / "run_summary.json").read_text())
+        assert list(summary["config"].items()) == [
+            ("scheme", "spectral"), ("epochs", 1), ("lr_model", 1e-4), ("lr_a", 1e-5),
+            ("batch", 16), ("folds", 5), ("k", 8), ("c", 0.7), ("m", 3), ("jtt_lambda", 2.0),
+            ("seed", 0)]
+        manifest = json.loads((out / "manifest_fold0.json").read_text())
+        assert manifest["config"] == asdict(TrainConfig(
+            epochs=1, batch_size=16, k_neighbors=8, centering_c=0.7, m_basis=3))
 
 
 class TestUsage:
@@ -447,9 +609,12 @@ class TestUsage:
     def test_unknown_command(self):
         assert main(["frobnicate"]) == 1
 
-    def test_bad_m_value(self, cohort_dir, tmp_path):
-        assert main(["train", "--cohort", str(cohort_dir / "cohort.csv"),
-                     "--out", str(tmp_path), "--m", "sometimes"]) == 1
+    def test_bad_m_value(self, cohort_dir, tmp_path, capsys):
+        for command in ("graph", "train", "sweep"):
+            assert main([command, "--cohort", str(cohort_dir / "cohort.csv"),
+                         "--out", str(tmp_path), "--m", "sometimes"]) == 1
+            assert ("m must be an integer or 'auto', got 'sometimes'"
+                    in capsys.readouterr().err)
 
     def test_m_exceeding_spectrum(self, cohort_dir, tmp_path):
         assert main(["graph", "--cohort", str(cohort_dir / "cohort.csv"),
