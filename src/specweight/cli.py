@@ -19,7 +19,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import asdict, is_dataclass
+from dataclasses import asdict, is_dataclass, replace
 from pathlib import Path
 from typing import get_type_hints
 
@@ -308,12 +308,16 @@ def cmd_report(args) -> int:
     weights = _read_table(run_dir / "weights.csv",
                           ["subject_id", "fold", "split", "weight"], [str, int, str, float])
     factor_names, factors_by_id = _read_factors(run_dir / "factors.csv")
+    n_folds = summary["n_folds"]
+    for name, rows in (("predictions.csv", preds), ("weights.csv", weights)):
+        bad = next((r[1] for r in rows if not 0 <= r[1] < n_folds), None)
+        if bad is not None:
+            raise DataError(f"{run_dir / name}: fold {bad} is outside 0..{n_folds - 1} "
+                            f"(run_summary.json has n_folds {n_folds})")
 
     weight_by_key = {(r[0], r[1]): r[3] for r in weights}
-    n_folds = summary["n_folds"]
-    # The summary's folds in order, each in file order: CVRun.pooled_test order.
-    test = sorted((r for r in preds if r[2] == "test" and 0 <= r[1] < n_folds),
-                  key=lambda r: r[1])
+    # Folds in order, each in file order: CVRun.pooled_test order.
+    test = sorted((r for r in preds if r[2] == "test"), key=lambda r: r[1])
     missing = next((r[0] for r in test if r[0] not in factors_by_id), None)
     if missing is not None:
         raise DataError(f"{run_dir / 'factors.csv'}: no row for subject {missing!r}")
@@ -426,6 +430,8 @@ def cmd_sweep(args) -> int:
     k_values, c_values = cfg["k_grid"], cfg["c_grid"]
     if not k_values or not c_values:
         raise _UsageError("k and c grids must be non-empty")
+    for c in c_values:  # TrainConfig checks each centering value before the cohort is read
+        replace(base_cfg, centering_c=c)
     data, factors = read_cohort_csv(args.cohort)
     cells = ev.sweep(data, factors, base_cfg, k_values, c_values, n_folds=cfg["folds"])
     out = _out_dir(args.out)

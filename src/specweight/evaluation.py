@@ -15,6 +15,7 @@ import numpy as np
 
 from . import training as tr
 from .dataset import CohortDataset
+from .errors import DataError
 from .factor_graph import FactorTable, SpectralBasis, basis_from_factors
 from .seeding import derive_seed
 
@@ -70,14 +71,15 @@ def stratified_kfold(labels, k: int = 5, seed: int = 0) -> np.ndarray:
     Samples are subjects, so the assignment is subject-level by construction.
     Each class is shuffled under the seed and dealt round-robin, continuing
     the rotation across classes so overall fold sizes also differ by at most
-    one. Deterministic for a given (labels, k, seed).
+    one. Deterministic for a given (labels, k, seed). A class with fewer
+    than k samples is a DataError.
     """
     y = _as_binary(labels, "labels").astype(int)
     if k < 2:
         raise ValueError("k must be >= 2")
     counts = np.bincount(y, minlength=2)
     if counts.min() < k:
-        raise ValueError(f"smallest class has {counts.min()} samples, fewer than {k} folds")
+        raise DataError(f"smallest class has {counts.min()} samples, fewer than {k} folds")
     rng = np.random.default_rng(seed)
     folds = np.full(y.shape[0], -1, dtype=int)
     offset = 0
@@ -107,22 +109,12 @@ def mann_whitney_u(group_a, group_b) -> tuple[float, float]:
     pooled = np.concatenate([a, b])
     n = na + nb
 
-    order = np.argsort(pooled, kind="stable")
-    ranks = np.empty(n)
-    sorted_vals = pooled[order]
-    i = 0
-    tie_term = 0.0
-    while i < n:
-        j = i + 1
-        while j < n and sorted_vals[j] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j]] = (i + j + 1) / 2.0  # midrank of positions i..j-1 (1-based)
-        t = j - i
-        tie_term += t ** 3 - t
-        i = j
+    _, tie_group, counts = np.unique(pooled, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)  # 1-based sorted position of each tie group's last member
+    ranks = ((2 * ends - counts + 1) / 2.0)[tie_group]  # midrank of each group
+    tie_term = float(np.sum(counts ** 3 - counts))
     u_a = float(np.sum(ranks[:na]) - na * (na + 1) / 2.0)
-    u_b = na * nb - u_a
-    u = min(u_a, u_b)
+    u = min(u_a, na * nb - u_a)
 
     variance = (na * nb / 12.0) * ((n + 1) - tie_term / (n * (n - 1))) if n > 1 else 0.0
     if variance <= 0.0:
@@ -142,8 +134,6 @@ class FoldResult:
     y: np.ndarray             # (n_samples,)
     prob: np.ndarray          # (n_samples,)
     weights: np.ndarray       # (n_samples,), NaN where the scheme defines none
-    bacc: float = float("nan")
-    f1: float = float("nan")
 
 
 @dataclass
@@ -159,11 +149,13 @@ class CVRun:
 
     @property
     def fold_bacc(self) -> np.ndarray:
-        return np.array([f.bacc for f in self.fold_results])
+        _, folds, y, prob, _ = self.pooled_test()
+        return fold_scores(folds, y, prob, self.n_folds)[0]
 
     @property
     def fold_f1(self) -> np.ndarray:
-        return np.array([f.f1 for f in self.fold_results])
+        _, folds, y, prob, _ = self.pooled_test()
+        return fold_scores(folds, y, prob, self.n_folds)[1]
 
     def pooled_test(self):
         """(row_index, fold, y, prob, weight) for every sample's test fold."""
@@ -177,6 +169,23 @@ class CVRun:
             ws.append(fr.weights[idx])
         return (np.concatenate(rows), np.concatenate(folds), np.concatenate(ys),
                 np.concatenate(probs), np.concatenate(ws))
+
+
+def fold_scores(folds, y, prob, n_folds: int) -> tuple[np.ndarray, np.ndarray]:
+    """(balanced accuracy, F1) of each fold in `range(n_folds)` over its test
+    samples, given one fold index, label and probability per pooled test
+    sample. The one per-fold scorer behind `CVRun.fold_bacc`/`fold_f1` and
+    `report`. A fold without both classes is a ValueError naming the fold."""
+    folds, y, prob = np.asarray(folds), np.asarray(y), np.asarray(prob)
+    bacc, f1 = [], []
+    for fold in range(n_folds):
+        test = folds == fold
+        try:
+            bacc.append(balanced_accuracy(y[test], prob[test]))
+            f1.append(f1_score(y[test], prob[test]))
+        except ValueError as exc:
+            raise ValueError(f"fold {fold} test rows: {exc}") from None
+    return np.array(bacc), np.array(f1)
 
 
 def format_mean_std(values) -> str:
@@ -232,10 +241,7 @@ def cross_validate(data: CohortDataset, factors: FactorTable | None, cfg: tr.Tra
         else:
             weights = np.ones(data.n_samples)
 
-        fr = FoldResult(fold, test_mask, labels.copy(), prob, weights)
-        fr.bacc = balanced_accuracy(labels[test_mask], prob[test_mask])
-        fr.f1 = f1_score(labels[test_mask], prob[test_mask])
-        run.fold_results.append(fr)
+        run.fold_results.append(FoldResult(fold, test_mask, labels.copy(), prob, weights))
         run.models.append(result.model)
         run.manifests.append({
             "fold": fold,
@@ -323,14 +329,9 @@ class SubcohortReport:
 
 def _tertile_bins(values: np.ndarray) -> tuple[np.ndarray, list[str]]:
     """Equal-count tertiles; samples sharing a value all take the lower bin."""
-    n = values.size
-    order = np.argsort(values, kind="stable")
-    bins = np.empty(n, dtype=int)
-    bins[order] = (3 * np.arange(n)) // n
-    for v in np.unique(values):
-        members = values == v
-        bins[members] = bins[members].min()
-    return bins, ["low", "mid", "high"]
+    # A value's bin is that of its first sorted position, 3 * position // n.
+    first = np.searchsorted(np.sort(values), values, side="left")
+    return (3 * first) // values.size, ["low", "mid", "high"]
 
 
 def factor_subcohort_table(weights, y, prob, factor_values, factor_name: str) -> SubcohortReport:
@@ -381,21 +382,13 @@ def factor_subcohort_table(weights, y, prob, factor_values, factor_name: str) ->
 def pooled_analysis(folds, y, prob, weights, factor_values, factor_names, n_folds: int):
     """(fold_bacc, fold_f1, MedianSplitGap, one SubcohortReport per factor)
     over test samples pooled across folds, one array entry (and one
-    `factor_values` row) per sample in `CVRun.pooled_test` order. A fold in
-    `range(n_folds)` without both classes is a ValueError naming the fold."""
-    folds, y, prob = np.asarray(folds), np.asarray(y), np.asarray(prob)
-    fold_bacc, fold_f1 = [], []
-    for fold in range(n_folds):
-        test = folds == fold
-        try:
-            fold_bacc.append(balanced_accuracy(y[test], prob[test]))
-            fold_f1.append(f1_score(y[test], prob[test]))
-        except ValueError as exc:
-            raise ValueError(f"fold {fold} test rows: {exc}") from None
+    `factor_values` row) per sample in `CVRun.pooled_test` order. The fold
+    metrics come from `fold_scores`."""
+    fold_bacc, fold_f1 = fold_scores(folds, y, prob, n_folds)
     gap = median_split_from_arrays(y, prob, weights)
     tables = [factor_subcohort_table(weights, y, prob, factor_values[:, k], name)
               for k, name in enumerate(factor_names)]
-    return np.array(fold_bacc), np.array(fold_f1), gap, tables
+    return fold_bacc, fold_f1, gap, tables
 
 
 # ---------------------------------------------------------------------------

@@ -167,17 +167,15 @@ def connected_components(adjacency: np.ndarray) -> np.ndarray:
 
 def _component_null_basis(labels: np.ndarray) -> np.ndarray:
     """Orthonormal indicator basis of the Laplacian's exact null space."""
-    n_comp = labels.max() + 1
-    u0 = np.zeros((labels.size, n_comp))
-    for comp in range(n_comp):
-        members = labels == comp
-        u0[members, comp] = 1.0 / np.sqrt(members.sum())
-    return u0
+    members = labels[:, None] == np.arange(labels.max() + 1)
+    return members / np.sqrt(members.sum(axis=0))
 
 
-def spectral_basis(lap: np.ndarray, m: int | str = "auto", eig: EigenDecomposition | None = None,
-                   labels: np.ndarray | None = None) -> SpectralBasis:
-    """First m eigenvectors of the Laplacian after dropping the null space.
+def spectral_basis(eig: EigenDecomposition, labels: np.ndarray,
+                   m: int | str = "auto") -> SpectralBasis:
+    """First m eigenvectors of a graph Laplacian after dropping the null space,
+    given the Laplacian's eigendecomposition `eig` and the component labels
+    of its graph (`connected_components`).
 
     Eigenpairs with eigenvalue <= NULL_SPACE_TOL (one per connected component)
     are discarded before counting m. The retained columns are projected
@@ -186,13 +184,9 @@ def spectral_basis(lap: np.ndarray, m: int | str = "auto", eig: EigenDecompositi
     smallest retained eigenvalue; the deflation pins the zero-column-sum
     property down to rounding error however small that eigenvalue is.
     m="auto" applies select_m_changepoint and raises DataError when the
-    graph has fewer than 2 non-null eigenvalues to choose from.
-
-    A caller that already holds the eigendecomposition of `lap` or the
-    component labels of its graph passes them as `eig` and `labels`;
-    otherwise they are computed here.
+    graph has fewer than 2 non-null eigenvalues to choose from; so does an
+    explicit m above the number of non-null eigenpairs.
     """
-    eig = eig if eig is not None else symmetric_eigen(lap)
     n = eig.eigenvectors.shape[0]
     nonnull = eig.eigenvalues > NULL_SPACE_TOL
     values = eig.eigenvalues[nonnull]
@@ -211,12 +205,11 @@ def spectral_basis(lap: np.ndarray, m: int | str = "auto", eig: EigenDecompositi
     if m == 0:
         return SpectralBasis.empty(n)
     if m > values.shape[0]:
-        raise ValueError(
-            f"requested {m} eigenbases but only {values.shape[0]} non-null eigenpairs exist"
-        )
+        raise DataError(f"requested {m} eigenbases but only {values.shape[0]} non-null "
+                        "eigenpairs exist")
 
     basis = vectors[:, :m].copy()
-    u0 = _component_null_basis(labels if labels is not None else connected_components(lap))
+    u0 = _component_null_basis(labels)
     basis -= u0 @ (u0.T @ basis)
     basis /= np.linalg.norm(basis, axis=0)
     return SpectralBasis(fix_column_signs(basis), values[:m].copy())
@@ -235,7 +228,7 @@ def basis_from_factors(raw: FactorTable, k: int, m: int | str = "auto"):
     lap = laplacian(graph)
     eig = symmetric_eigen(lap)
     n_null = int(np.sum(eig.eigenvalues <= NULL_SPACE_TOL))
-    basis = spectral_basis(lap, m, eig=eig, labels=labels)
+    basis = spectral_basis(eig, labels, m)
     info = {
         "graph": graph,
         "eigenvalues": eig.eigenvalues,

@@ -58,6 +58,9 @@ class TrainConfig:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        for name in ("centering_c", "lr_model", "lr_a", "jtt_lambda"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.lr_model <= 0.0 or self.lr_a < 0.0:
             raise ValueError("learning rates must be positive (lr_a may be 0)")
         if self.batch_size < 1:

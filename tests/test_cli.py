@@ -392,6 +392,24 @@ class TestReport:
         edit_csv_rows(copy / name, edit)
         return copy
 
+    @pytest.mark.parametrize("name, edit, fold", [
+        ("run_summary.json", None, 3),
+        ("predictions.csv", set_field(0, 1, "-1"), -1),
+        ("weights.csv", set_field(4, 1, "7"), 7),
+    ], ids=["summary-says-3-folds", "negative-prediction-fold", "weights-fold-7"])
+    def test_out_of_range_fold_is_data_error(self, run_dir, tmp_path, name, edit, fold):
+        if edit is None:  # the 5-fold run's summary claims 3 folds
+            copy = tmp_path / "run"
+            shutil.copytree(run_dir, copy)
+            summary = json.loads((copy / name).read_text())
+            (copy / name).write_text(json.dumps(dict(summary, n_folds=3)))
+            name = "predictions.csv"
+        else:
+            copy = self.edited_run(run_dir, tmp_path, edit, name)
+        proc = run_cli("report", "--run", copy)
+        assert_data_error(proc)
+        assert f"{name}: fold {fold} is outside 0.." in proc.stderr
+
     def test_single_class_fold_is_data_error(self, run_dir, tmp_path):
         def one_class_fold_2(rows):
             for row in rows:
@@ -602,6 +620,68 @@ class TestSurface:
             epochs=1, batch_size=16, k_neighbors=8, centering_c=0.7, m_basis=3))
 
 
+@pytest.fixture(scope="module")
+def small_cohort(tmp_path_factory):
+    """12 subjects, 5 per class: too few for 10 folds, and its k=5 graph has
+    only 11 non-null eigenpairs."""
+    out = tmp_path_factory.mktemp("small")
+    assert main(["synth", "--out", str(out), "--n-subjects", "12", "--seed", "0"]) == 0
+    return out / "cohort.csv"
+
+
+def assert_usage_error(proc):
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+class TestExitPaths:
+    @pytest.mark.parametrize("command, flags, config, message", [
+        ("train", ["--c", "nan"], None, "centering_c must be finite, got nan"),
+        ("train", ["--jtt-lambda", "nan", "--scheme", "jtt"], None, "jtt_lambda must be finite"),
+        ("train", ["--lr-model", "inf"], None, "lr_model must be finite, got inf"),
+        ("train", ["--lr-a=-inf"], None, "lr_a must be finite, got -inf"),
+        ("train", [], "c=nan", "centering_c must be finite, got nan"),
+        ("sweep", ["--lr-model", "nan"], None, "lr_model must be finite, got nan"),
+        ("sweep", ["--c", "0.5,inf"], None, "centering_c must be finite, got inf"),
+        ("sweep", [], "c_grid=0.5,nan", "centering_c must be finite, got nan"),
+    ])
+    def test_non_finite_setting_is_usage_error_before_reading(self, tmp_path, command, flags,
+                                                              config, message):
+        # The cohort does not exist: exit 1 rather than 2 shows the settings
+        # are checked before it is read.
+        if config is not None:
+            (tmp_path / "bad.cfg").write_text(config + "\n")
+            flags = ["--config", tmp_path / "bad.cfg"]
+        proc = run_cli(command, "--cohort", tmp_path / "absent.csv", "--out", tmp_path / "out",
+                       *flags)
+        assert_usage_error(proc)
+        assert message in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("args, message", [
+        (["train", "--folds", "10", "--k", "5", "--epochs", "1"],
+         "smallest class has 5 samples, fewer than 10 folds"),
+        (["sweep", "--folds", "10", "--k", "5", "--epochs", "1"], "fewer than 10 folds"),
+        (["graph", "--m", "50", "--k", "5"], "requested 50 eigenbases but only 11 non-null"),
+        (["train", "--m", "50", "--k", "5", "--epochs", "1"], "requested 50 eigenbases"),
+        (["sweep", "--m", "50", "--k", "5", "--epochs", "1"], "requested 50 eigenbases"),
+    ])
+    def test_data_dependent_limit_is_data_error(self, small_cohort, tmp_path, args, message):
+        proc = run_cli(*args, "--cohort", small_cohort, "--out", tmp_path)
+        assert_data_error(proc)
+        assert message in proc.stderr
+
+    @pytest.mark.parametrize("args, message", [
+        (["train", "--folds", "1", "--epochs", "1"], "k must be >= 2"),
+        (["graph", "--m", "-1"], "m must be >= 0"),
+    ])
+    def test_argument_shape_stays_usage_error(self, small_cohort, tmp_path, args, message):
+        proc = run_cli(*args, "--k", "5", "--cohort", small_cohort, "--out", tmp_path)
+        assert_usage_error(proc)
+        assert message in proc.stderr
+
+
 class TestUsage:
     def test_missing_required_flag(self):
         assert main(["train", "--out", "somewhere"]) == 1
@@ -618,7 +698,7 @@ class TestUsage:
 
     def test_m_exceeding_spectrum(self, cohort_dir, tmp_path):
         assert main(["graph", "--cohort", str(cohort_dir / "cohort.csv"),
-                     "--out", str(tmp_path), "--k", "8", "--m", "1000"]) == 1
+                     "--out", str(tmp_path), "--k", "8", "--m", "1000"]) == 2
 
     def test_numerical_failure_exit_code(self, cohort_dir, tmp_path, monkeypatch, capsys):
         from specweight import cli

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -6,15 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import logistic_factory, small_gru_factory
+from specweight.errors import DataError
 from specweight.evaluation import (
     DEFAULT_C_GRID,
     DEFAULT_K_GRID,
     CVRun,
     FoldResult,
+    _tertile_bins,
     balanced_accuracy,
     cross_validate,
     f1_score,
     factor_subcohort_table,
+    fold_scores,
     format_mean_std,
     mann_whitney_u,
     median_split_gap,
@@ -34,6 +38,58 @@ def brute_force_u(a, b):
     """Cross-pair win count, ties counted half; the smaller side."""
     wins_a = sum(1.0 if x > y else 0.5 if x == y else 0.0 for x in a for y in b)
     return min(wins_a, len(a) * len(b) - wins_a)
+
+
+def reference_mann_whitney_u(group_a, group_b):
+    """`mann_whitney_u` as it was written before it ranked with np.unique:
+    a Python loop over the sorted pool assigning midranks tie run by tie run."""
+    a = np.asarray(group_a, dtype=np.float64)
+    b = np.asarray(group_b, dtype=np.float64)
+    na, nb = a.size, b.size
+    pooled = np.concatenate([a, b])
+    n = na + nb
+    order = np.argsort(pooled, kind="stable")
+    ranks = np.empty(n)
+    sorted_vals = pooled[order]
+    i = 0
+    tie_term = 0.0
+    while i < n:
+        j = i + 1
+        while j < n and sorted_vals[j] == sorted_vals[i]:
+            j += 1
+        ranks[order[i:j]] = (i + j + 1) / 2.0
+        t = j - i
+        tie_term += t ** 3 - t
+        i = j
+    u_a = float(np.sum(ranks[:na]) - na * (na + 1) / 2.0)
+    u = min(u_a, na * nb - u_a)
+    variance = (na * nb / 12.0) * ((n + 1) - tie_term / (n * (n - 1))) if n > 1 else 0.0
+    if variance <= 0.0:
+        return u, 1.0
+    z = (u - na * nb / 2.0 + 0.5) / math.sqrt(variance)
+    return u, min(1.0, 2.0 * (0.5 * math.erfc(-z / math.sqrt(2.0))))
+
+
+def reference_tertile_bins(values):
+    """`_tertile_bins` as it was written before it used searchsorted: bins by
+    sorted position, then every tied value moved to its lowest bin."""
+    n = values.size
+    order = np.argsort(values, kind="stable")
+    bins = np.empty(n, dtype=int)
+    bins[order] = (3 * np.arange(n)) // n
+    for v in np.unique(values):
+        members = values == v
+        bins[members] = bins[members].min()
+    return bins
+
+
+# Tie-heavy samples: small integers as floats, with both signed zeros.
+tied_values = st.lists(st.one_of(st.integers(-3, 3).map(float), st.sampled_from([0.0, -0.0])),
+                       min_size=1, max_size=15)
+
+
+def same_bits(x, y) -> bool:
+    return np.asarray(x, dtype=np.float64).tobytes() == np.asarray(y, dtype=np.float64).tobytes()
 
 
 class TestBalancedAccuracy:
@@ -136,7 +192,7 @@ class TestStratifiedKFold:
         assert set(folds) == set(range(5))
 
     def test_too_few_per_class(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError, match="smallest class has 2 samples, fewer than 3 folds"):
             stratified_kfold([0, 0, 0, 1, 1], k=3)
 
 
@@ -172,6 +228,13 @@ class TestMannWhitney:
     def test_non_finite_raises(self):
         with pytest.raises(ValueError):
             mann_whitney_u([np.nan, 1.0], [2.0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_values, tied_values)
+    def test_bit_identical_to_midrank_loop(self, a, b):
+        u, p = mann_whitney_u(a, b)
+        ref_u, ref_p = reference_mann_whitney_u(a, b)
+        assert same_bits(u, ref_u) and same_bits(p, ref_p)
 
     @settings(max_examples=80, deadline=None)
     @given(st.lists(st.integers(1, 6), min_size=1, max_size=6),
@@ -246,6 +309,15 @@ class TestSubcohortTable:
         # the three 2s share the low bin even though one lands past the cut
         assert sizes == {"low": 4, "mid": 2, "high": 3}
 
+    @settings(max_examples=300, deadline=None)
+    @given(tied_values)
+    def test_tertiles_equal_tie_loop(self, values):
+        values = np.array(values)
+        bins, names = _tertile_bins(values)
+        ref = reference_tertile_bins(values)
+        assert bins.dtype == ref.dtype and np.array_equal(bins, ref)
+        assert names == ["low", "mid", "high"]
+
     def test_group_bacc_none_for_single_class(self):
         table = factor_subcohort_table(
             weights=[1.0, 2.0, 3.0, 4.0], y=[0, 0, 0, 1], prob=[0.1] * 4,
@@ -271,7 +343,9 @@ class TestCrossValidateAndSweep:
                           batch_size=16, k_neighbors=8, m_basis=4, seed=9)
         run = cross_validate(data, factors, cfg, n_folds=5, model_factory=logistic_factory)
         assert len(run.fold_results) == 5
-        assert all(0.0 <= f.bacc <= 1.0 and 0.0 <= f.f1 <= 1.0 for f in run.fold_results)
+        assert run.fold_bacc.shape == run.fold_f1.shape == (5,)
+        assert np.all((0.0 <= run.fold_bacc) & (run.fold_bacc <= 1.0))
+        assert np.all((0.0 <= run.fold_f1) & (run.fold_f1 <= 1.0))
         covered = np.zeros(data.n_samples, dtype=int)
         for f in run.fold_results:
             covered += f.test_mask
@@ -280,6 +354,21 @@ class TestCrossValidateAndSweep:
         assert {"fold", "scheme", "seed", "config", "initial_objective",
                 "final_objective", "epoch_losses"} <= set(m)
         assert len(m["epoch_losses"]) == 2
+
+    def test_fold_scores_are_test_mask_metrics(self, tiny_cohort):
+        data, factors, _ = tiny_cohort
+        cfg = TrainConfig(scheme="none", epochs=1, lr_model=5e-2, batch_size=16, seed=3)
+        run = cross_validate(data, factors, cfg, n_folds=4, model_factory=logistic_factory)
+        for fr, bacc, f1 in zip(run.fold_results, run.fold_bacc, run.fold_f1, strict=True):
+            y, prob = fr.y[fr.test_mask], fr.prob[fr.test_mask]
+            assert bacc == balanced_accuracy(y, prob)
+            assert f1 == f1_score(y, prob)
+
+    def test_fold_scores_names_a_one_class_fold(self):
+        bacc, f1 = fold_scores([0, 0, 1, 1], [0, 1, 0, 1], [0.2, 0.9, 0.6, 0.1], 2)
+        assert bacc.tolist() == [1.0, 0.0] and f1.tolist() == [1.0, 0.0]
+        with pytest.raises(ValueError, match="fold 1 test rows"):
+            fold_scores([0, 0, 1, 1], [0, 1, 1, 1], [0.2, 0.9, 0.6, 0.1], 2)
 
     @pytest.mark.parametrize("scheme, trained_models", [
         ("none", 1), ("spectral", 1), ("only_graph", 1), ("jtt", 2)])

@@ -133,13 +133,14 @@ class TestLaplacian:
 class TestSpectralBasis:
     def test_two_node_single_basis(self):
         g = build_graph(table([[0.0], [1.0]]), k=1)
-        basis = spectral_basis(laplacian(g), m=1)
+        lap = laplacian(g)
+        basis = spectral_basis(symmetric_eigen(lap), connected_components(lap), m=1)
         assert np.allclose(basis.basis[:, 0], [1 / np.sqrt(2), -1 / np.sqrt(2)], atol=1e-12)
         assert np.allclose(basis.eigenvalues, [2 * g.adjacency[0, 1]], atol=1e-12)
 
     def test_m_zero_empty(self):
         lap = laplacian(build_graph(table([[0.0], [1.0]]), k=1))
-        basis = spectral_basis(lap, m=0)
+        basis = spectral_basis(symmetric_eigen(lap), connected_components(lap), m=0)
         assert basis.m_count == 0 and basis.basis.shape == (2, 0)
 
     def test_disconnected_two_null_eigenvalues(self):
@@ -150,14 +151,14 @@ class TestSpectralBasis:
         oracle = np.linalg.eigvalsh(lap)  # independent eigenstructure check
         assert np.allclose(eig.eigenvalues, oracle, atol=1e-10)
         assert np.sum(eig.eigenvalues <= 1e-8) == 2
-        basis = spectral_basis(lap, m=2)
+        basis = spectral_basis(eig, connected_components(lap), m=2)
         assert basis.m_count == 2
         assert np.all(basis.eigenvalues > 1e-8)
 
     def test_m_exceeding_available_raises(self):
         lap = laplacian(build_graph(table([[0.0], [1.0], [2.0]]), k=1))
-        with pytest.raises(ValueError):
-            spectral_basis(lap, m=5)
+        with pytest.raises(DataError, match="requested 5 eigenbases but only 2 non-null"):
+            spectral_basis(symmetric_eigen(lap), connected_components(lap), m=5)
 
     def test_orthonormal_zero_sum(self, small_basis):
         basis, _ = small_basis
