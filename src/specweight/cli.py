@@ -27,7 +27,7 @@ import numpy as np
 
 from . import evaluation as ev
 from . import training as tr
-from .dataset import read_cohort_csv, write_cohort_csv, write_groups_csv
+from .dataset import read_cohort_csv, read_factor_table, write_cohort_csv, write_groups_csv
 from .errors import DataError, NumericalError
 from .factor_graph import basis_from_factors
 from .predictor import RecurrentClassifier, save_checkpoint
@@ -220,7 +220,7 @@ def cmd_synth(args) -> int:
 
 def cmd_graph(args) -> int:
     cfg = _effective(args, _GRAPH)
-    data, factors = read_cohort_csv(args.cohort)
+    subject_ids, factors = read_factor_table(args.cohort)
     m = cfg["m"]
     basis, info = basis_from_factors(factors, cfg["k"], m)
     out = _out_dir(args.out)
@@ -228,7 +228,7 @@ def cmd_graph(args) -> int:
     _write_csv(out / "eigenspectrum.csv", ["rank", "eigenvalue"],
                [[i, _fmt(v)] for i, v in enumerate(info["eigenvalues"])])
     summary = {
-        "n_samples": data.n_samples,
+        "n_samples": factors.n_samples,
         "k_neighbors": cfg["k"],
         "m_requested": m,
         "m_used": info["m_used"],
@@ -243,7 +243,7 @@ def cmd_graph(args) -> int:
         print(f"warning: factor graph has {n_comp} connected components{mismatch}",
               file=sys.stderr)
     if args.dump_graph:
-        n = data.n_samples
+        n = factors.n_samples
         _write_csv(out / "adjacency.csv", [f"c{j}" for j in range(n)],
                    [[_fmt(v) for v in row] for row in info["graph"].adjacency])
         _write_csv(out / "laplacian.csv", [f"c{j}" for j in range(n)],
@@ -251,7 +251,7 @@ def cmd_graph(args) -> int:
         _write_csv(out / "basis.csv",
                    ["subject_id"] + [f"e{j}" for j in range(basis.m_count)],
                    [[sid] + [_fmt(v) for v in basis.basis[i]]
-                    for i, sid in enumerate(data.subject_ids)])
+                    for i, sid in enumerate(subject_ids)])
     print(json.dumps(_jsonify(summary), indent=2))
     return EXIT_OK
 
@@ -321,6 +321,11 @@ def cmd_report(args) -> int:
     missing = next((r[0] for r in test if r[0] not in factors_by_id), None)
     if missing is not None:
         raise DataError(f"{run_dir / 'factors.csv'}: no row for subject {missing!r}")
+    # Every scheme but jtt writes a weight for each test row.
+    unweighted = next((r for r in test if (r[0], r[1]) not in weight_by_key), None)
+    if unweighted is not None and summary["scheme"] != "jtt":
+        raise DataError(f"{run_dir / 'weights.csv'}: no weight for test subject "
+                        f"{unweighted[0]!r} in fold {unweighted[1]}")
     try:
         bacc, f1, gap, tables = ev.pooled_analysis(
             [r[1] for r in test], [r[3] for r in test], [r[4] for r in test],

@@ -10,6 +10,11 @@ per visit, so sequences of different lengths need no padding:
 constant within a subject; rows are sorted by (subject_id, visit); UTF-8 with
 "." as the decimal separator. Factor columns feed graph construction only and
 are never part of the model input.
+
+`read_factor_table` runs the same subject-block walk and checks as
+`read_cohort_csv` but never converts feature cells, so `specweight graph`,
+which uses only the factors, accepts a cohort whose x_* cells are not finite
+numbers.
 """
 
 from __future__ import annotations
@@ -97,35 +102,42 @@ def write_cohort_csv(path, data: CohortDataset, factors: FactorTable) -> None:
                                 + [_fmt(v) for v in subject.visits[t]])
 
 
-def read_cohort_csv(path) -> tuple[CohortDataset, FactorTable]:
-    """Parse a cohort CSV one subject block at a time, never holding all rows."""
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
+def _subject_blocks(path, fh):
+    """The subject-block walk that both cohort readers share.
 
-        if header[:3] != ["subject_id", "visit", "y"]:
-            raise DataError(f"{path}: header must start with subject_id,visit,y")
-        factor_names = [c[2:] for c in header if c.startswith("f_")]
-        feature_cols = [c for c in header if c.startswith("x_")]
-        n_factors = len(factor_names)
-        width = len(feature_cols)
-        if width < 1:
-            raise DataError(f"{path}: no feature columns (x_*)")
-        if header[3:] != [f"f_{n}" for n in factor_names] + feature_cols:
-            raise DataError(f"{path}: columns must be subject_id,visit,y,f_*,x_*")
-        if feature_cols != [f"x_{j}" for j in range(width)]:
-            raise DataError(f"{path}: feature columns must be x_0..x_{width - 1} in order")
+    Checks the header and returns (factor names, feature width, blocks).
+    `blocks` yields (subject_id, label, factor values, rows) per subject,
+    reading one block at a time and never holding all rows. Before a block
+    is yielded it has passed the checks that do not read feature cells: no
+    blank row, contiguous subject rows, visit indices 0..n-1, and a binary
+    label and factor values that are constant across the subject's visits.
+    Feature cells and the field count of each row are left to the caller.
+    """
+    reader = csv.reader(fh)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}: empty file") from None
 
-        def subject_id(row):
-            if not row:
-                raise DataError(f"{path}: line {reader.line_num}: blank row")
-            return row[0]
+    if header[:3] != ["subject_id", "visit", "y"]:
+        raise DataError(f"{path}: header must start with subject_id,visit,y")
+    factor_names = [c[2:] for c in header if c.startswith("f_")]
+    feature_cols = [c for c in header if c.startswith("x_")]
+    n_factors = len(factor_names)
+    width = len(feature_cols)
+    if width < 1:
+        raise DataError(f"{path}: no feature columns (x_*)")
+    if header[3:] != [f"f_{n}" for n in factor_names] + feature_cols:
+        raise DataError(f"{path}: columns must be subject_id,visit,y,f_*,x_*")
+    if feature_cols != [f"x_{j}" for j in range(width)]:
+        raise DataError(f"{path}: feature columns must be x_0..x_{width - 1} in order")
 
-        subjects: list[Subject] = []
-        factor_rows: list[list[float]] = []
+    def subject_id(row):
+        if not row:
+            raise DataError(f"{path}: line {reader.line_num}: blank row")
+        return row[0]
+
+    def blocks():
         seen: set[str] = set()
         for sid, block in itertools.groupby(reader, key=subject_id):
             if sid in seen:
@@ -136,7 +148,6 @@ def read_cohort_csv(path) -> tuple[CohortDataset, FactorTable]:
                 visits_idx = [int(r[1]) for r in block]
                 labels = {int(r[2]) for r in block}
                 fvals = [[float(v) for v in r[3:3 + n_factors]] for r in block]
-                feats = np.array([[float(v) for v in r[3 + n_factors:]] for r in block])
             except (ValueError, IndexError) as exc:
                 raise DataError(f"{path}: malformed row for subject {sid}: {exc}") from None
             if visits_idx != list(range(len(block))):
@@ -147,16 +158,58 @@ def read_cohort_csv(path) -> tuple[CohortDataset, FactorTable]:
             if any(fv != fvals[0] for fv in fvals[1:]):
                 raise DataError(
                     f"{path}: subject {sid}: factor values must be constant across visits")
+            label = labels.pop()
+            if label not in (0, 1):
+                raise DataError(f"subject {sid}: label must be 0 or 1")
+            yield sid, label, fvals[0], block
+
+    return factor_names, width, blocks()
+
+
+def _factor_table(path, factor_rows, factor_names) -> FactorTable:
+    if not factor_rows:
+        raise DataError(f"{path}: no data rows")
+    return FactorTable(np.array(factor_rows, dtype=np.float64), tuple(factor_names))
+
+
+def read_cohort_csv(path) -> tuple[CohortDataset, FactorTable]:
+    """Parse a cohort CSV one subject block at a time, never holding all rows."""
+    subjects: list[Subject] = []
+    factor_rows: list[list[float]] = []
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        factor_names, width, blocks = _subject_blocks(path, fh)
+        start = 3 + len(factor_names)
+        for sid, label, fvals, block in blocks:
+            try:
+                feats = np.array([[float(v) for v in r[start:]] for r in block])
+            except ValueError as exc:
+                raise DataError(f"{path}: malformed row for subject {sid}: {exc}") from None
             if feats.shape[1] != width:
                 raise DataError(f"{path}: subject {sid}: wrong feature count")
-            subjects.append(Subject(sid, feats, labels.pop()))
-            factor_rows.append(fvals[0])
+            subjects.append(Subject(sid, feats, label))
+            factor_rows.append(fvals)
+    factors = _factor_table(path, factor_rows, factor_names)
+    return CohortDataset(tuple(subjects)), factors
 
-    if not subjects:
-        raise DataError(f"{path}: no data rows")
-    data = CohortDataset(tuple(subjects))
-    factors = FactorTable(np.array(factor_rows, dtype=np.float64), tuple(factor_names))
-    return data, factors
+
+def read_factor_table(path) -> tuple[list[str], FactorTable]:
+    """Subject ids and factor table of a cohort CSV, without the features.
+
+    Runs every check of `read_cohort_csv` except those on feature cells: each
+    row must have the header's field count, but x_* cells are not converted
+    to floats, so a non-numeric or non-finite feature value passes here.
+    """
+    subject_ids: list[str] = []
+    factor_rows: list[list[float]] = []
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        factor_names, width, blocks = _subject_blocks(path, fh)
+        n_fields = 3 + len(factor_names) + width
+        for sid, _, fvals, block in blocks:
+            if any(len(r) != n_fields for r in block):
+                raise DataError(f"{path}: subject {sid}: wrong feature count")
+            subject_ids.append(sid)
+            factor_rows.append(fvals)
+    return subject_ids, _factor_table(path, factor_rows, factor_names)
 
 
 def write_groups_csv(path, subject_ids, groups) -> None:

@@ -125,9 +125,14 @@ def build_graph(factors: FactorTable, k: int) -> FactorGraph:
 
     ranked = d2.copy()
     np.fill_diagonal(ranked, np.inf)
-    neighbor_of = np.zeros((n, n), dtype=bool)
-    nearest = np.argsort(ranked, axis=1, kind="stable")[:, :k]
-    neighbor_of[np.arange(n)[:, None], nearest] = True
+    # The k nearest of each row, as a stable argsort would rank them: every
+    # entry below the k-th smallest distance, then the entries equal to it in
+    # index order until the row has k.
+    kth = np.partition(ranked, k - 1, axis=1)[:, k - 1:k]
+    below = ranked < kth
+    tied = ranked == kth
+    room = k - below.sum(axis=1, keepdims=True)
+    neighbor_of = below | (tied & (np.cumsum(tied, axis=1) <= room))
 
     linked = neighbor_of | neighbor_of.T
     adjacency = np.where(linked, 1.0 / (d2 + 1.0), 0.0)

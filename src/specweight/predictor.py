@@ -296,15 +296,23 @@ def save_checkpoint(model: RecurrentClassifier, path) -> None:
 
 
 def load_checkpoint(path) -> RecurrentClassifier:
+    """Model from a `save_checkpoint` file; any malformed file is a ValueError,
+    raised before a model of the stated widths is allocated."""
     with open(path, "rb") as fh:
         blob = fh.read()
     header = struct.calcsize("<IIIQ")
     if len(blob) < 4 + header or blob[:4] != CHECKPOINT_MAGIC:
         raise ValueError(f"not a model checkpoint: {path}")
     f, h, k, count = struct.unpack("<IIIQ", blob[4:4 + header])
-    flat = np.frombuffer(blob[4 + header:], dtype="<f8")
-    if flat.size != count:
-        raise ValueError(f"checkpoint truncated: expected {count} parameters, found {flat.size}")
+    payload = len(blob) - 4 - header
+    if payload != 8 * count:
+        raise ValueError(f"checkpoint truncated: {count} parameters need {8 * count} bytes, "
+                         f"found {payload}")
+    # Three gates of h(f + h + 1), then W1, b1, W2 (k(h + 2)) and b2.
+    if min(f, h, k) < 1 or count != 3 * h * (f + h + 1) + k * (h + 2) + 1:
+        raise ValueError(f"checkpoint header inconsistent: widths {f}, {h}, {k} "
+                         f"with {count} parameters")
+    flat = np.frombuffer(blob, dtype="<f8", offset=4 + header)
     model = RecurrentClassifier(f, h, k, rng=np.random.default_rng(0))
     model.set_flat_params(flat.astype(np.float64))
     return model

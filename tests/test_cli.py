@@ -240,6 +240,39 @@ class TestGraph:
         assert main(["graph", "--cohort", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path)]) == 2
 
+    def test_factor_reader_writes_the_full_readers_bytes(self, cohort_dir, tmp_path,
+                                                         monkeypatch):
+        """graph reads only the factor columns; every file it writes equals
+        the file built from read_cohort_csv's factors in the same process."""
+        import specweight.cli as cli
+
+        def full_reader(path):
+            data, factors = read_cohort_csv(path)
+            return data.subject_ids, factors
+
+        args = ["graph", "--cohort", str(cohort_dir / "cohort.csv"), "--k", "8", "--dump-graph"]
+        assert main(args + ["--out", str(tmp_path / "factors_only")]) == 0
+        monkeypatch.setattr(cli, "read_factor_table", full_reader)
+        assert main(args + ["--out", str(tmp_path / "full")]) == 0
+        files = sorted(p.name for p in (tmp_path / "full").iterdir())
+        assert files == sorted(p.name for p in (tmp_path / "factors_only").iterdir())
+        assert len(files) == 5
+        for name in files:
+            assert ((tmp_path / "factors_only" / name).read_bytes()
+                    == (tmp_path / "full" / name).read_bytes())
+
+    def test_feature_cells_are_not_validated(self, cohort_dir, tmp_path):
+        """Documented scope: graph never reads feature cells, train does."""
+        cohort = tmp_path / "cohort.csv"
+        shutil.copy(cohort_dir / "cohort.csv", cohort)
+        column = read_csv(cohort)[0].index("x_3")
+        edit_csv_rows(cohort, set_field(4, column, "oops"))
+        graph = run_cli("graph", "--cohort", cohort, "--out", tmp_path / "g", "--k", "8")
+        assert graph.returncode == 0, graph.stderr
+        train = run_cli("train", "--cohort", cohort, "--out", tmp_path / "t", "--epochs", "1")
+        assert_data_error(train)
+        assert "could not convert string to float: 'oops'" in train.stderr
+
 
 class TestTrain:
     def test_run_directory_contents(self, run_dir):
@@ -409,6 +442,28 @@ class TestReport:
         proc = run_cli("report", "--run", copy)
         assert_data_error(proc)
         assert f"{name}: fold {fold} is outside 0.." in proc.stderr
+
+    def test_missing_test_weight_is_data_error(self, run_dir, tmp_path):
+        removed = []
+
+        def drop_a_test_row(rows):
+            at = next(i for i, row in enumerate(rows) if row[2] == "test" and row[1] == "3")
+            removed.append(rows.pop(at))
+
+        proc = run_cli("report", "--run",
+                       self.edited_run(run_dir, tmp_path, drop_a_test_row, "weights.csv"))
+        assert_data_error(proc)
+        sid, fold = removed[0][:2]
+        assert (f"weights.csv: no weight for test subject {sid!r} in fold {fold}"
+                in proc.stderr)
+
+    def test_jtt_run_without_test_weights_reports(self, cohort_dir, tmp_path):
+        """jtt defines no test weights: report runs and the split is degenerate."""
+        assert main(["train", "--cohort", str(cohort_dir / "cohort.csv"), "--out",
+                     str(tmp_path), "--scheme", "jtt", "--epochs", "1", "--batch", "16"]) == 0
+        assert main(["report", "--run", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["median_split"]["degenerate"]
 
     def test_single_class_fold_is_data_error(self, run_dir, tmp_path):
         def one_class_fold_2(rows):

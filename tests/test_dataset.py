@@ -5,6 +5,7 @@ from specweight.dataset import (
     CohortDataset,
     Subject,
     read_cohort_csv,
+    read_factor_table,
     read_groups_csv,
     write_cohort_csv,
     write_groups_csv,
@@ -53,38 +54,47 @@ def _write(path, text):
     return path
 
 
+# Malformed cohort files whose defect is not in a feature cell.
+MALFORMED = {
+    "bad-header": "id,visit,y,x_0\nA,0,1,0.5\n",
+    "non-contiguous-visits": "subject_id,visit,y,x_0\nA,0,1,0.5\nA,2,1,0.5\n",
+    "inconsistent-label": "subject_id,visit,y,x_0\nA,0,1,0.5\nA,1,0,0.5\n",
+    "inconsistent-factors": "subject_id,visit,y,f_g,x_0\nA,0,1,1.0,0.5\nA,1,1,2.0,0.5\n",
+    "split-subject-blocks": "subject_id,visit,y,x_0\nA,0,1,0.5\nB,0,0,0.1\nA,1,1,0.5\n",
+    "empty": "",
+    "header-only": "subject_id,visit,y,x_0\n",
+    "non-binary-label": "subject_id,visit,y,x_0\nA,0,2,0.5\n",
+    "blank-row": "subject_id,visit,y,x_0\nA,0,1,0.5\n\nB,0,0,0.1\n",
+    "short-row": "subject_id,visit,y,x_0\nA,0,1,0.5\nB,0\n",
+    "no-feature-columns": "subject_id,visit,y,f_g\nA,0,1,1.0\n",
+    "non-numeric-factor": "subject_id,visit,y,f_g,x_0\nA,0,1,high,0.5\n",
+    "non-finite-factor": "subject_id,visit,y,f_g,x_0\nA,0,1,inf,0.5\n",
+}
+
+
 def test_rejects_bad_header(tmp_path):
-    p = _write(tmp_path / "x.csv", "id,visit,y,x_0\nA,0,1,0.5\n")
     with pytest.raises(DataError):
-        read_cohort_csv(p)
+        read_cohort_csv(_write(tmp_path / "x.csv", MALFORMED["bad-header"]))
 
 
 def test_rejects_non_contiguous_visits(tmp_path):
-    p = _write(tmp_path / "x.csv",
-               "subject_id,visit,y,x_0\nA,0,1,0.5\nA,2,1,0.5\n")
     with pytest.raises(DataError):
-        read_cohort_csv(p)
+        read_cohort_csv(_write(tmp_path / "x.csv", MALFORMED["non-contiguous-visits"]))
 
 
 def test_rejects_inconsistent_label(tmp_path):
-    p = _write(tmp_path / "x.csv",
-               "subject_id,visit,y,x_0\nA,0,1,0.5\nA,1,0,0.5\n")
     with pytest.raises(DataError):
-        read_cohort_csv(p)
+        read_cohort_csv(_write(tmp_path / "x.csv", MALFORMED["inconsistent-label"]))
 
 
 def test_rejects_inconsistent_factors(tmp_path):
-    p = _write(tmp_path / "x.csv",
-               "subject_id,visit,y,f_g,x_0\nA,0,1,1.0,0.5\nA,1,1,2.0,0.5\n")
     with pytest.raises(DataError):
-        read_cohort_csv(p)
+        read_cohort_csv(_write(tmp_path / "x.csv", MALFORMED["inconsistent-factors"]))
 
 
 def test_rejects_split_subject_blocks(tmp_path):
-    p = _write(tmp_path / "x.csv",
-               "subject_id,visit,y,x_0\nA,0,1,0.5\nB,0,0,0.1\nA,1,1,0.5\n")
     with pytest.raises(DataError):
-        read_cohort_csv(p)
+        read_cohort_csv(_write(tmp_path / "x.csv", MALFORMED["split-subject-blocks"]))
 
 
 def test_rejects_non_numeric(tmp_path):
@@ -94,18 +104,61 @@ def test_rejects_non_numeric(tmp_path):
 
 
 def test_rejects_empty(tmp_path):
-    p = _write(tmp_path / "x.csv", "")
     with pytest.raises(DataError):
-        read_cohort_csv(p)
-    p2 = _write(tmp_path / "y.csv", "subject_id,visit,y,x_0\n")
+        read_cohort_csv(_write(tmp_path / "x.csv", MALFORMED["empty"]))
     with pytest.raises(DataError):
-        read_cohort_csv(p2)
+        read_cohort_csv(_write(tmp_path / "y.csv", MALFORMED["header-only"]))
 
 
 def test_rejects_non_binary_label(tmp_path):
-    p = _write(tmp_path / "x.csv", "subject_id,visit,y,x_0\nA,0,2,0.5\n")
     with pytest.raises(DataError):
-        read_cohort_csv(p)
+        read_cohort_csv(_write(tmp_path / "x.csv", MALFORMED["non-binary-label"]))
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_factor_reader_raises_the_same_error(tmp_path, name):
+    path = _write(tmp_path / "x.csv", MALFORMED[name])
+    with pytest.raises(DataError) as full:
+        read_cohort_csv(path)
+    with pytest.raises(DataError) as factors_only:
+        read_factor_table(path)
+    assert str(factors_only.value) == str(full.value)
+
+
+@pytest.mark.parametrize("row", ["A,1,1,0.5,0.5", "A,1,1,0.5", "A,1,1,0.5,0.5,0.5,0.5"],
+                         ids=["missing-feature", "no-features", "extra-feature"])
+def test_factor_reader_checks_field_count(tmp_path, row):
+    path = _write(tmp_path / "x.csv",
+                  f"subject_id,visit,y,f_g,x_0,x_1\nA,0,1,0.5,0.1,0.2\n{row}\n")
+    with pytest.raises(DataError, match="subject A: wrong feature count"):
+        read_factor_table(path)
+    with pytest.raises(DataError):
+        read_cohort_csv(path)
+
+
+def test_factor_reader_skips_feature_cells(tmp_path):
+    """Scope of read_factor_table: feature cells are not converted."""
+    path = _write(tmp_path / "x.csv",
+                  "subject_id,visit,y,f_g,x_0\nA,0,1,0.5,oops\nB,0,0,1.5,inf\n")
+    ids, factors = read_factor_table(path)
+    assert ids == ["A", "B"]
+    assert factors.values.tolist() == [[0.5], [1.5]]
+    with pytest.raises(DataError, match="could not convert string to float: 'oops'"):
+        read_cohort_csv(path)
+
+
+@pytest.mark.parametrize("spec", [SynthSpec(n_subjects=60, feature_width=6, seed=11),
+                                  SynthSpec(n_subjects=50, feature_width=3, max_visits=9,
+                                            seed=5)], ids=["tiny", "long"])
+def test_readers_agree_on_valid_cohorts(tmp_path, spec):
+    data, factors, _ = generate(spec)
+    path = tmp_path / "cohort.csv"
+    write_cohort_csv(path, data, factors)
+    full_data, full_factors = read_cohort_csv(path)
+    ids, factors_only = read_factor_table(path)
+    assert ids == full_data.subject_ids
+    assert factors_only.factor_names == full_factors.factor_names
+    assert factors_only.values.tobytes() == full_factors.values.tobytes()
 
 
 def test_subject_validation():

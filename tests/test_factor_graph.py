@@ -113,6 +113,38 @@ class TestBuildGraph:
         assert np.all((a >= 0.0) & (a <= 1.0))
         assert np.all((a > 0).sum(axis=1) >= g.k_neighbors)
 
+    @staticmethod
+    def argsort_adjacency(factors, k):
+        """Reference: the adjacency with each row's k nearest picked by a full
+        stable argsort, ties to the lower index."""
+        x = factors.values
+        n = x.shape[0]
+        diff = x[:, None, :] - x[None, :, :]
+        d2 = np.einsum("ijk,ijk->ij", diff, diff)
+        ranked = d2.copy()
+        np.fill_diagonal(ranked, np.inf)
+        neighbor_of = np.zeros((n, n), dtype=bool)
+        nearest = np.argsort(ranked, axis=1, kind="stable")[:, :k]
+        neighbor_of[np.arange(n)[:, None], nearest] = True
+        linked = neighbor_of | neighbor_of.T
+        adjacency = np.where(linked, 1.0 / (d2 + 1.0), 0.0)
+        np.fill_diagonal(adjacency, 0.0)
+        return adjacency
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 30).flatmap(lambda n: st.tuples(
+               st.lists(st.lists(st.integers(-2, 2), min_size=2, max_size=2),
+                        min_size=n, max_size=n),
+               st.sampled_from([1, n - 1]) | st.integers(1, n - 1))))
+    def test_matches_stable_argsort_on_ties(self, rows_and_k):
+        """Small-integer tables, full of duplicate rows and equal distances:
+        the partition-based selection keeps exactly the stable argsort's
+        neighbors, so the adjacency is bit-identical."""
+        rows, k = rows_and_k
+        t = table(rows)
+        got = build_graph(t, k).adjacency
+        assert got.tobytes() == self.argsort_adjacency(t, k).tobytes()
+
 
 class TestLaplacian:
     def test_two_node(self):

@@ -1,5 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from specweight.predictor import (
     LogisticFallback,
@@ -348,5 +352,40 @@ class TestCheckpoint:
         path = tmp_path / "model.bin"
         save_checkpoint(m, path)
         path.write_bytes(path.read_bytes()[:-16])
+        with pytest.raises(ValueError):
+            load_checkpoint(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.tuples(st.just("truncate"), st.integers(0, 10 ** 6)),
+        st.tuples(st.just("magic"), st.binary(min_size=4, max_size=4)),
+        st.tuples(st.just("count"), st.integers(0, 2 ** 64 - 1)),
+        st.tuples(st.just("widths"), st.tuples(*[st.integers(0, 2 ** 32 - 1)] * 3)),
+        st.tuples(st.just("length"), st.integers(1, 7), st.booleans())))
+    def test_malformed_blob_raises_value_error_only(self, tmp_path_factory, damage):
+        """A truncated blob, another magic number, a wrong parameter count,
+        widths that do not match the count, or a payload whose length is not
+        a multiple of 8 bytes: load_checkpoint raises ValueError and nothing
+        else (no MemoryError from allocating a model of absurd widths)."""
+        path = tmp_path_factory.mktemp("ckpt") / "model.bin"
+        model = RecurrentClassifier(3, 4, 2)
+        save_checkpoint(model, path)
+        blob = path.read_bytes()
+        kind, value, *rest = damage
+        if kind == "truncate":
+            blob = blob[:value % len(blob)]
+        elif kind == "magic":
+            assume(value != blob[:4])
+            blob = value + blob[4:]
+        elif kind == "count":
+            assume(value != model.n_params)
+            blob = blob[:16] + struct.pack("<Q", value) + blob[24:]
+        elif kind == "widths":
+            f, h, k = value  # other widths with as many parameters make a valid file
+            assume(min(value) < 1 or 3 * h * (f + h + 1) + k * (h + 2) + 1 != model.n_params)
+            blob = blob[:4] + struct.pack("<III", *value) + blob[16:]
+        else:
+            blob = blob + b"\x00" * value if rest[0] else blob[:-value]
+        path.write_bytes(blob)
         with pytest.raises(ValueError):
             load_checkpoint(path)
