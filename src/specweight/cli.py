@@ -222,7 +222,8 @@ def cmd_graph(args) -> int:
     cfg = _effective(args, _GRAPH)
     subject_ids, factors = read_factor_table(args.cohort)
     m = cfg["m"]
-    basis, info = basis_from_factors(factors, cfg["k"], m)
+    # Without --dump-graph no eigenvector is written, so none is computed.
+    basis, info = basis_from_factors(factors, cfg["k"], m, vectors=args.dump_graph)
     out = _out_dir(args.out)
 
     _write_csv(out / "eigenspectrum.csv", ["rank", "eigenvalue"],
@@ -234,7 +235,7 @@ def cmd_graph(args) -> int:
         "m_used": info["m_used"],
         "n_null_eigenvalues": info["n_null"],
         "n_components": info["n_components"],
-        "basis_eigenvalues": list(basis.eigenvalues),
+        "basis_eigenvalues": list(info["basis_eigenvalues"]),
     }
     _write_json(out / "graph_summary.json", summary)
     n_comp, n_null = info["n_components"], info["n_null"]

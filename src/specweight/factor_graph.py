@@ -94,13 +94,20 @@ def standardize(raw: FactorTable) -> FactorTable:
 
     Computed over the full cohort in one pass, so the graph does not depend on
     any train/test split. Constant columns carry no similarity information and
-    map to all zeros.
+    map to all zeros. A column whose mean or variance overflows float64 is a
+    DataError naming the factor, not a column of zeros.
     """
     if raw.n_samples < 2:
         raise DataError("standardization needs at least 2 samples")
     values = raw.values
-    mean = values.mean(axis=0)
-    std = values.std(axis=0)  # ddof=0
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = values.mean(axis=0)
+        std = values.std(axis=0)  # ddof=0
+    overflow = ~(np.isfinite(mean) & np.isfinite(std))
+    if overflow.any():
+        name = raw.factor_names[int(np.argmax(overflow))]
+        raise DataError(f"factor {name!r}: its mean or variance overflows float64; "
+                        "rescale the column")
     centered = values - mean
     out = np.divide(centered, std, out=np.zeros_like(centered), where=std > 0.0)
     return FactorTable(out, raw.factor_names)
@@ -176,30 +183,16 @@ def _component_null_basis(labels: np.ndarray) -> np.ndarray:
     return members / np.sqrt(members.sum(axis=0))
 
 
-def spectral_basis(eig: EigenDecomposition, labels: np.ndarray,
-                   m: int | str = "auto") -> SpectralBasis:
-    """First m eigenvectors of a graph Laplacian after dropping the null space,
-    given the Laplacian's eigendecomposition `eig` and the component labels
-    of its graph (`connected_components`).
+def choose_m(values: np.ndarray, m: int | str = "auto") -> int:
+    """Basis size for the ascending non-null eigenvalues `values`.
 
-    Eigenpairs with eigenvalue <= NULL_SPACE_TOL (one per connected component)
-    are discarded before counting m. The retained columns are projected
-    against the exact component-indicator null space. The eigensolver leaves
-    them orthogonal to it only up to rounding error scaled by ||L|| over the
-    smallest retained eigenvalue; the deflation pins the zero-column-sum
-    property down to rounding error however small that eigenvalue is.
-    m="auto" applies select_m_changepoint and raises DataError when the
-    graph has fewer than 2 non-null eigenvalues to choose from; so does an
-    explicit m above the number of non-null eigenpairs.
+    m="auto" applies select_m_changepoint and raises DataError when there are
+    fewer than 2 values to choose from; so does an explicit m above the number
+    of values. A negative or non-integer m is a ValueError.
     """
-    n = eig.eigenvectors.shape[0]
-    nonnull = eig.eigenvalues > NULL_SPACE_TOL
-    values = eig.eigenvalues[nonnull]
-    vectors = eig.eigenvectors[:, nonnull]
-
     if m == "auto":
         try:
-            m = select_m_changepoint(values)
+            return select_m_changepoint(values)
         except ValueError as exc:
             raise DataError(f"m='auto': {exc}; set m explicitly") from None
     if not isinstance(m, (int, np.integer)) or isinstance(m, bool):
@@ -207,39 +200,74 @@ def spectral_basis(eig: EigenDecomposition, labels: np.ndarray,
     m = int(m)
     if m < 0:
         raise ValueError("m must be >= 0")
-    if m == 0:
-        return SpectralBasis.empty(n)
     if m > values.shape[0]:
         raise DataError(f"requested {m} eigenbases but only {values.shape[0]} non-null "
                         "eigenpairs exist")
+    return m
 
-    basis = vectors[:, :m].copy()
+
+def spectral_basis(eig: EigenDecomposition, labels: np.ndarray,
+                   m: int | str = "auto") -> SpectralBasis:
+    """First m eigenvectors of a graph Laplacian after dropping the null space,
+    given the Laplacian's eigendecomposition `eig` and the component labels
+    of its graph (`connected_components`).
+
+    Eigenpairs with eigenvalue <= NULL_SPACE_TOL (one per connected component)
+    are discarded before counting m, which `choose_m` picks or checks. The
+    retained columns are projected against the exact component-indicator null
+    space. The eigensolver leaves them orthogonal to it only up to rounding
+    error scaled by ||L|| over the smallest retained eigenvalue; the deflation
+    pins the zero-column-sum property down to rounding error however small
+    that eigenvalue is.
+    """
+    n = eig.eigenvectors.shape[0]
+    kept = np.flatnonzero(eig.eigenvalues > NULL_SPACE_TOL)
+    m = choose_m(eig.eigenvalues[kept], m)
+    if m == 0:
+        return SpectralBasis.empty(n)
+
+    # Fancy indexing returns F order and .copy() makes it C order, which the
+    # bits of the sums below depend on.
+    basis = eig.eigenvectors[:, kept[:m]].copy()
     u0 = _component_null_basis(labels)
     basis -= u0 @ (u0.T @ basis)
     basis /= np.linalg.norm(basis, axis=0)
-    return SpectralBasis(fix_column_signs(basis), values[:m].copy())
+    return SpectralBasis(fix_column_signs(basis), eig.eigenvalues[kept[:m]])
 
 
-def basis_from_factors(raw: FactorTable, k: int, m: int | str = "auto"):
+def basis_from_factors(raw: FactorTable, k: int, m: int | str = "auto",
+                       vectors: bool = True):
     """Full chain raw factors -> standardized -> graph -> Laplacian -> basis.
 
     Returns (basis, info) where info carries the pieces reports need: the
     graph, the full eigenvalue spectrum, the number of null eigenvalues, the
     number of connected components (from the graph's edges, labelled once),
-    and the m that was actually used.
+    the m that was actually used and the basis eigenvalues.
+
+    With vectors=False the Laplacian is solved for eigenvalues only and no
+    basis is built: basis is None, and info is filled from that spectrum,
+    which agrees with the full solve's to rounding.
     """
     graph = build_graph(standardize(raw), k)
     labels = connected_components(graph.adjacency)
     lap = laplacian(graph)
-    eig = symmetric_eigen(lap)
+    eig = symmetric_eigen(lap, vectors=vectors)
     n_null = int(np.sum(eig.eigenvalues <= NULL_SPACE_TOL))
-    basis = spectral_basis(eig, labels, m)
+    if vectors:
+        basis = spectral_basis(eig, labels, m)
+        m_used, basis_eigenvalues = basis.m_count, basis.eigenvalues
+    else:
+        basis = None
+        nonnull = eig.eigenvalues[eig.eigenvalues > NULL_SPACE_TOL]
+        m_used = choose_m(nonnull, m)
+        basis_eigenvalues = nonnull[:m_used]
     info = {
         "graph": graph,
         "eigenvalues": eig.eigenvalues,
         "n_null": n_null,
         "n_components": int(labels.max()) + 1,
-        "m_used": basis.m_count,
+        "m_used": m_used,
+        "basis_eigenvalues": basis_eigenvalues,
         "laplacian": lap,
     }
     return basis, info

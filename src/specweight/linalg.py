@@ -3,14 +3,19 @@
 Matrices are plain float64 numpy arrays (row-major); vectors are 1-D arrays.
 
 `symmetric_eigen` checks its input (square, finite, symmetric to
-SYMMETRY_TOL), symmetrizes it exactly and hands it to numpy's LAPACK routine
-(`dsyevd`, divide and conquer). Eigenvector signs are then fixed by
-`fix_column_signs`, so the output depends only on the input bits and the
-LAPACK build and its thread count. The eigenvectors are orthonormal to a few
-units of rounding. Eigenvalues carry an absolute error of about ||m|| times
-machine epsilon, so those far below ||m|| lose relative accuracy;
-`factor_graph.spectral_basis` therefore deflates the Laplacian's null space
-exactly instead of trusting its near-zero eigenvectors.
+SYMMETRY_TOL), averages it with its transpose unless it is already exactly
+symmetric (a graph Laplacian is, so it reaches LAPACK bit for bit) and hands
+it to numpy's LAPACK routine `dsyevd`. `eigh` asks it for eigenvectors too
+(divide and conquer); with `vectors=False`, `eigvalsh` asks for eigenvalues
+only, which skips building the vectors and costs about half as much.
+Eigenvector signs are fixed by `fix_column_signs`, so the output depends only
+on the input bits, the path taken, and the LAPACK build and its thread count.
+The two paths finish the tridiagonal problem with different algorithms, so
+their eigenvalues agree to rounding, not bit for bit. The eigenvectors are
+orthonormal to a few units of rounding. Eigenvalues carry an absolute error
+of about ||m|| times machine epsilon, so those far below ||m|| lose relative
+accuracy; `factor_graph.spectral_basis` therefore deflates the Laplacian's
+null space exactly instead of trusting its near-zero eigenvectors.
 """
 
 from __future__ import annotations
@@ -35,10 +40,11 @@ class EigenDecomposition:
     `eigenvalues` is sorted ascending; `eigenvectors[:, k]` is the unit-norm
     eigenvector paired with `eigenvalues[k]`, sign-fixed so that the entry of
     largest magnitude is positive (ties broken by lowest index).
+    `eigenvectors` is None when the solve was asked for eigenvalues only.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    eigenvectors: np.ndarray | None
 
 
 def as_square_matrix(m) -> np.ndarray:
@@ -64,15 +70,17 @@ def fix_column_signs(v: np.ndarray) -> np.ndarray:
     return v * signs
 
 
-def symmetric_eigen(m) -> EigenDecomposition:
-    """Full eigendecomposition of a symmetric matrix by LAPACK `dsyevd`.
+def symmetric_eigen(m, vectors: bool = True) -> EigenDecomposition:
+    """Eigendecomposition of a symmetric matrix by LAPACK `dsyevd`, or its
+    eigenvalues alone (`eigvalsh`, `eigenvectors` None) when `vectors` is
+    False.
 
     Eigenvalues come back ascending. Deterministic for identical input bits
-    at a fixed BLAS thread count; across thread counts results agree to
-    rounding error.
+    at a fixed BLAS thread count; across thread counts, and between the
+    two paths, results agree to rounding error.
 
     Raises ValueError for empty, non-square, non-finite or asymmetric input
-    and ConvergenceError if LAPACK reports a failure.
+    and ConvergenceError if LAPACK reports a failure, on both paths.
     """
     m = as_square_matrix(m)
     if m.shape[0] == 0:
@@ -80,8 +88,12 @@ def symmetric_eigen(m) -> EigenDecomposition:
     asym = float(np.max(np.abs(m - m.T)))
     if asym > SYMMETRY_TOL:
         raise ValueError(f"matrix is not symmetric: max |m - m^T| = {asym:.3e}")
+    if asym > 0.0:
+        m = (m + m.T) / 2.0
     try:
-        eigenvalues, eigenvectors = np.linalg.eigh((m + m.T) / 2.0)
+        if not vectors:
+            return EigenDecomposition(np.linalg.eigvalsh(m), None)
+        eigenvalues, eigenvectors = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigensolver did not converge: {exc}") from None
     return EigenDecomposition(eigenvalues, fix_column_signs(eigenvectors))

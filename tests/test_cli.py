@@ -88,6 +88,26 @@ def cohort_dir(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def graph_thread_runs(tmp_path_factory):
+    """Files of `graph --k 30` on a 400-subject cohort, keyed by (dump_graph,
+    BLAS threads, repeat); 400 subjects are enough for threaded LAPACK to
+    change the last bits."""
+    tmp = tmp_path_factory.mktemp("graph_threads")
+    assert main(["synth", "--out", str(tmp / "cohort"), "--n-subjects", "400",
+                 "--feature-width", "4", "--seed", "3"]) == 0
+    args = ["graph", "--cohort", str(tmp / "cohort" / "cohort.csv"), "--k", "30"]
+    return {(dump, t, rep): run_at_threads(args + ["--dump-graph"] * dump, t,
+                                           tmp / f"d{int(dump)}_t{t}_{rep}")
+            for dump in (True, False) for t in (1, 2) for rep in (0, 1)}
+
+
+def spectrum(files):
+    """The eigenvalues of an `eigenspectrum.csv` among `files` (name -> bytes)."""
+    rows = list(csv.reader(files["eigenspectrum.csv"].decode().splitlines()))
+    return np.array([float(r[1]) for r in rows[1:]])
+
+
+@pytest.fixture(scope="module")
 def run_dir(tmp_path_factory, cohort_dir):
     out = tmp_path_factory.mktemp("run")
     rc = main(["train", "--cohort", str(cohort_dir / "cohort.csv"), "--out", str(out),
@@ -206,26 +226,49 @@ class TestGraph:
         assert_data_error(run_cli("graph", "--cohort", cohort, "--out", tmp_path / "g",
                                   "--k", "8"))
 
-    def test_thread_count_determinism_scope(self, tmp_path):
-        """Byte-identical at a fixed BLAS thread count; equal to rounding across counts."""
-        cohort = tmp_path / "cohort"
-        # 400 subjects: large enough for threaded LAPACK to change the last bits
-        assert main(["synth", "--out", str(cohort), "--n-subjects", "400",
-                     "--feature-width", "4", "--seed", "3"]) == 0
-        args = ["graph", "--cohort", str(cohort / "cohort.csv"), "--k", "30", "--dump-graph"]
-        runs = {(t, rep): run_at_threads(args, t, tmp_path / f"t{t}_{rep}")
-                for t in (1, 2) for rep in (0, 1)}
+    def test_thread_count_determinism_scope(self, graph_thread_runs):
+        """Byte-identical at a fixed BLAS thread count; equal to rounding across
+        counts; for the eigenvector solve (--dump-graph) and the values-only one."""
+        for dump in (True, False):
+            runs = {key[1:]: files for key, files in graph_thread_runs.items()
+                    if key[0] == dump}
+            for t in (1, 2):
+                assert runs[(t, 0)] == runs[(t, 1)]
+            lam1, lam2 = spectrum(runs[(1, 0)]), spectrum(runs[(2, 0)])
+            assert np.max(np.abs(lam1 - lam2)) <= 1e-12 * np.max(lam1)
+            m_used = [json.loads(runs[(t, 0)]["graph_summary.json"])["m_used"] for t in (1, 2)]
+            assert m_used[0] == m_used[1]
+
+    def test_values_only_solve_matches_dump_graph(self, graph_thread_runs):
+        """Plain graph (eigenvalues only) reports the counts of graph
+        --dump-graph (eigenpairs), with the spectrum equal to rounding."""
         for t in (1, 2):
-            assert runs[(t, 0)] == runs[(t, 1)]
+            plain, dump = graph_thread_runs[(False, t, 0)], graph_thread_runs[(True, t, 0)]
+            assert sorted(plain) == ["eigenspectrum.csv", "graph_summary.json"]
+            s_plain, s_dump = (json.loads(r["graph_summary.json"]) for r in (plain, dump))
+            for key in ("m_used", "n_null_eigenvalues", "n_components", "n_samples"):
+                assert s_plain[key] == s_dump[key], key
+            lam_plain, lam_dump = spectrum(plain), spectrum(dump)
+            assert np.max(np.abs(lam_plain - lam_dump)) <= 1e-12 * np.max(lam_dump)
+            basis_plain = np.array(s_plain["basis_eigenvalues"])
+            basis_dump = np.array(s_dump["basis_eigenvalues"])
+            assert basis_plain.shape == (s_dump["m_used"],)
+            assert np.max(np.abs(basis_plain - basis_dump)) <= 1e-12 * np.max(lam_dump)
 
-        def spectrum(files):
-            rows = list(csv.reader(files["eigenspectrum.csv"].decode().splitlines()))
-            return np.array([float(r[1]) for r in rows[1:]])
-
-        lam1, lam2 = spectrum(runs[(1, 0)]), spectrum(runs[(2, 0)])
-        assert np.max(np.abs(lam1 - lam2)) <= 1e-12 * np.max(lam1)
-        m_used = [json.loads(runs[(t, 0)]["graph_summary.json"])["m_used"] for t in (1, 2)]
-        assert m_used[0] == m_used[1]
+    @pytest.mark.parametrize("argv", [["graph"], ["train", "--folds", "2", "--epochs", "1"]],
+                             ids=["graph", "train"])
+    def test_overflowing_factor_is_data_error(self, tmp_path, argv):
+        # f_g's variance overflows float64: z-scoring would map it to zeros
+        lines = ["subject_id,visit,y,f_g,f_h,x_0"]
+        for i, g in enumerate(["1e308", "-1e308", "1e308", "0"]):
+            lines.append(f"S{i},0,{i % 2},{g},{i},{0.1 * i}")
+        cohort = tmp_path / "cohort.csv"
+        cohort.write_text("\n".join(lines) + "\n")
+        proc = run_cli(*argv, "--cohort", cohort, "--out", tmp_path / "out", "--k", "1",
+                       "--m", "1")
+        assert_data_error(proc)
+        assert "factor 'g': its mean or variance overflows float64" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
 
     def test_seed_changes_no_output(self, cohort_dir, tmp_path):
         for seed in ("0", "99"):
@@ -652,7 +695,7 @@ class TestSurface:
             if name == "generate":
                 assert args == (SynthSpec(),) and kwargs == {}
             elif name == "basis_from_factors":
-                assert args[1:] == (50, "auto") and kwargs == {}
+                assert args[1:] == (50, "auto") and kwargs == {"vectors": False}
             elif name == "cross_validate":
                 assert args[2] == TrainConfig() and kwargs == {"n_folds": 5}
             else:
@@ -768,12 +811,18 @@ class TestUsage:
         assert rc == 3
         assert "numerical failure" in capsys.readouterr().err
 
-    def test_eigensolver_failure_exit_code(self, cohort_dir, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("solver, argv", [
+        ("eigvalsh", ["graph"]),
+        ("eigh", ["graph", "--dump-graph"]),
+        ("eigh", ["train", "--epochs", "1"]),
+    ], ids=["graph-eigvalsh", "graph-dump-eigh", "train-eigh"])
+    def test_eigensolver_failure_exit_code(self, cohort_dir, tmp_path, monkeypatch, capsys,
+                                           solver, argv):
         def fail(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(np.linalg, "eigh", fail)
-        rc = main(["graph", "--cohort", str(cohort_dir / "cohort.csv"),
-                   "--out", str(tmp_path), "--k", "8"])
+        monkeypatch.setattr(np.linalg, solver, fail)
+        rc = main(argv + ["--cohort", str(cohort_dir / "cohort.csv"),
+                          "--out", str(tmp_path), "--k", "8"])
         assert rc == 3
         assert "numerical failure" in capsys.readouterr().err

@@ -8,6 +8,7 @@ from specweight.factor_graph import (
     FactorTable,
     basis_from_factors,
     build_graph,
+    choose_m,
     connected_components,
     laplacian,
     select_m_changepoint,
@@ -42,6 +43,21 @@ class TestStandardize:
     def test_rejects_single_sample(self):
         with pytest.raises(DataError):
             standardize(table([[1.0, 2.0]]))
+
+    @pytest.mark.parametrize("column", [
+        [1e308, -1e308, 1e308, 0.0],   # the variance overflows
+        [1.5e308, 1.5e308, 1.6e308],   # the mean overflows
+    ])
+    def test_overflowing_column_is_data_error(self, column):
+        t = table(np.column_stack([np.arange(len(column), dtype=float), column]),
+                  names=("age", "g"))
+        with pytest.raises(DataError, match="factor 'g': its mean or variance overflows"):
+            standardize(t)
+
+    def test_large_finite_column_still_standardizes(self):
+        out = standardize(table([[1e150], [-1e150], [1e150], [0.0]]))
+        assert np.all(np.isfinite(out.values))
+        assert abs(out.values.std() - 1.0) < 1e-12
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.floats(-100, 100), min_size=4, max_size=40))
@@ -243,6 +259,49 @@ class TestSpectralBasis:
         for j in range(5):
             col, ref = undone[:, j], basis.basis[:, j]
             assert np.allclose(col, ref, atol=1e-7) or np.allclose(col, -ref, atol=1e-7)
+
+
+class TestValuesOnlyBasis:
+    """basis_from_factors(..., vectors=False) against the eigenvector path."""
+
+    @pytest.mark.parametrize("m", ["auto", 0, 3, 7])
+    def test_same_counts_and_basis_eigenvalues(self, m):
+        # three far clusters: three components, so three null eigenvalues
+        rng = np.random.default_rng(21)
+        t = table(np.vstack([rng.normal(size=(12, 2)) + 100.0 * c for c in range(3)]))
+        basis, full = basis_from_factors(t, k=4, m=m)
+        none, values = basis_from_factors(t, k=4, m=m, vectors=False)
+        assert none is None
+        for key in ("m_used", "n_null", "n_components"):
+            assert values[key] == full[key], key
+        assert full["n_components"] == 3 and full["m_used"] == basis.m_count
+        assert np.array_equal(full["basis_eigenvalues"], basis.eigenvalues)
+        scale = np.max(full["eigenvalues"])
+        assert np.max(np.abs(values["eigenvalues"] - full["eigenvalues"])) <= 1e-12 * scale
+        assert values["basis_eigenvalues"].shape == basis.eigenvalues.shape
+        assert np.allclose(values["basis_eigenvalues"], basis.eigenvalues,
+                           rtol=0, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("values, m, message", [
+        ([0.5], "auto", "m='auto': change-point selection needs at least 2"),
+        ([0.5, 1.0], 3, "requested 3 eigenbases but only 2 non-null"),
+    ])
+    def test_choose_m_data_errors(self, values, m, message):
+        with pytest.raises(DataError, match=message):
+            choose_m(np.array(values), m)
+
+    @pytest.mark.parametrize("m, message", [
+        (-1, "m must be >= 0"), (2.0, "m must be an integer or 'auto'"),
+        (True, "m must be an integer or 'auto'")])
+    def test_choose_m_argument_errors(self, m, message):
+        with pytest.raises(ValueError, match=message):
+            choose_m(np.array([0.5, 1.0]), m)
+
+    def test_explicit_m_too_large_on_both_paths(self):
+        t = table([[0.0], [1.0], [2.0]])
+        for vectors in (True, False):
+            with pytest.raises(DataError, match="requested 5 eigenbases but only 2 non-null"):
+                basis_from_factors(t, k=1, m=5, vectors=vectors)
 
 
 class TestSelectM:

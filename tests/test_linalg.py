@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specweight.factor_graph import FactorTable, build_graph, laplacian
 from specweight.linalg import (
+    SYMMETRY_TOL,
     ConvergenceError,
     EigenDecomposition,
     fix_column_signs,
@@ -111,6 +113,101 @@ class TestSymmetricEigen:
             resid = m @ dec.eigenvectors[:, k] - dec.eigenvalues[k] * dec.eigenvectors[:, k]
             assert np.max(np.abs(resid)) < 1e-7
             assert abs(np.linalg.norm(dec.eigenvectors[:, k]) - 1.0) < 1e-8
+
+
+@st.composite
+def knn_laplacians(draw):
+    """Laplacian of a kNN graph over 1-4 far-apart clusters of 2-8 points.
+    k stays below the smallest cluster size, so no edge crosses clusters and
+    the graph has at least one component per cluster."""
+    sizes = draw(st.lists(st.integers(min_value=2, max_value=8), min_size=1, max_size=4))
+    n_factors = draw(st.integers(min_value=1, max_value=3))
+    coords = st.floats(min_value=-5, max_value=5, allow_nan=False)
+    rows = []
+    for c, size in enumerate(sizes):
+        for _ in range(size):
+            point = draw(st.lists(coords, min_size=n_factors, max_size=n_factors))
+            rows.append([1000.0 * c + x for x in point])
+    k = draw(st.integers(min_value=1, max_value=min(sizes) - 1))
+    table = FactorTable(np.array(rows), tuple(f"f{j}" for j in range(n_factors)))
+    return laplacian(build_graph(table, k))
+
+
+@st.composite
+def malformed_matrices(draw):
+    """A symmetric matrix made non-square, non-finite or asymmetric."""
+    m = draw(symmetric_matrices(max_n=6)).copy()
+    n = m.shape[0]
+    defect = draw(st.sampled_from(["non-square", "non-finite", "asymmetric"]
+                                  if n > 1 else ["non-square", "non-finite"]))
+    if defect == "non-square":
+        return m[:, :-1] if draw(st.booleans()) else np.vstack([m, m[:1]])
+    i = draw(st.integers(min_value=0, max_value=n - 1))
+    j = draw(st.integers(min_value=0, max_value=n - 1).filter(
+        lambda j: defect == "non-finite" or j != i))
+    if defect == "non-finite":
+        m[i, j] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    else:
+        m[i, j] += draw(st.floats(min_value=10 * SYMMETRY_TOL, max_value=1.0))
+    return m
+
+
+class TestValuesOnly:
+    """symmetric_eigen(m, vectors=False): the same checks, eigenvalues alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(symmetric_matrices(), knn_laplacians()))
+    def test_eigenvalues_match_full_solve(self, m):
+        full = symmetric_eigen(m)
+        values = symmetric_eigen(m, vectors=False)
+        assert values.eigenvectors is None
+        lam = values.eigenvalues
+        assert lam.shape == (m.shape[0],)
+        assert np.all(np.diff(lam) >= 0)
+        n = m.shape[0]
+        tol = 4 * n * np.finfo(float).eps * np.linalg.norm(m)
+        assert np.max(np.abs(lam - full.eigenvalues)) <= tol
+
+    @settings(max_examples=60, deadline=None)
+    @given(malformed_matrices())
+    def test_same_value_error_on_both_paths(self, m):
+        messages = []
+        for vectors in (True, False):
+            with pytest.raises(ValueError) as exc:
+                symmetric_eigen(m, vectors=vectors)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="empty matrix"):
+            symmetric_eigen(np.zeros((0, 0)), vectors=False)
+
+    def test_lapack_failure_is_convergence_error(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(ConvergenceError, match="eigensolver did not converge"):
+            symmetric_eigen(np.eye(3), vectors=False)
+
+    def test_exactly_symmetric_input_reaches_lapack_unchanged(self, monkeypatch):
+        """No (m + m^T) / 2 copy when m is exactly symmetric; an asymmetry
+        within tolerance is still averaged away."""
+        seen = []
+        for name in ("eigh", "eigvalsh"):
+            real = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda a, real=real: seen.append(a) or real(a))
+        rng = np.random.default_rng(3)
+        m = rng.normal(size=(5, 5))
+        m = m + m.T
+        symmetric_eigen(m)
+        symmetric_eigen(m, vectors=False)
+        assert seen[0] is m and seen[1] is m
+        nudged = m.copy()
+        nudged[0, 1] += 1e-12
+        symmetric_eigen(nudged, vectors=False)
+        assert np.array_equal(seen[2], (nudged + nudged.T) / 2.0)
 
 
 class TestSignConvention:
