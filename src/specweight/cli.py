@@ -54,7 +54,7 @@ def _read_config_file(path) -> dict[str, str]:
     out = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read config file {path}: {exc}") from None
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -92,6 +92,8 @@ _ALIASES = {"batch_size": "batch", "k_neighbors": "k", "centering_c": "c", "m_ba
 # (SynthSpec.factors) are not settings.
 _CASTS = {int: int, float: float, str: str, int | str: _parse_m}
 _FLAGS = {"k_grid": "--k", "c_grid": "--c"}
+# Lower bounds of integer settings that no dataclass checks (m may also be "auto").
+_MINIMUM = {"folds": 2, "m": 0}
 
 
 def _flag(key: str) -> str:
@@ -124,7 +126,8 @@ def _build(cls, cfg: dict):
 
 
 def _effective(args, settings: dict) -> dict:
-    """Merge defaults, config file values, and explicit CLI flags."""
+    """Merge defaults, config file values, and explicit CLI flags; an
+    out-of-range fold count or m is a usage error before any input is read."""
     merged = {key: default for key, (default, _) in settings.items()}
     if getattr(args, "config", None):
         for key, raw in _read_config_file(args.config).items():
@@ -140,6 +143,10 @@ def _effective(args, settings: dict) -> dict:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             merged[key] = flag_value
+    for key, low in _MINIMUM.items():
+        value = merged.get(key, low)
+        if value != "auto" and value < low:
+            raise _UsageError(f"{key} must be >= {low}, got {value}")
     return merged
 
 
@@ -257,14 +264,16 @@ def cmd_graph(args) -> int:
     return EXIT_OK
 
 
-def _write_run_files(out: Path, run: ev.CVRun, subject_ids, factors, cfg: dict, cohort: str):
+def _write_run_files(out: Path, run: ev.CVRun, subject_ids, factors, cfg: dict, cohort: str,
+                     bacc, f1):
     weight_rows, pred_rows = [], []
-    for fr in run.fold_results:
+    for fold in range(run.n_folds):
         for i, sid in enumerate(subject_ids):
-            split = "test" if fr.test_mask[i] else "train"
-            if math.isfinite(fr.weights[i]):
-                weight_rows.append([sid, fr.fold, split, _fmt(fr.weights[i])])
-            pred_rows.append([sid, fr.fold, split, int(fr.y[i]), _fmt(fr.prob[i])])
+            split = "test" if run.folds[i] == fold else "train"
+            w = run.weights[fold, i]
+            if math.isfinite(w):
+                weight_rows.append([sid, fold, split, _fmt(w)])
+            pred_rows.append([sid, fold, split, int(run.labels[i]), _fmt(run.probs[fold, i])])
     _write_csv(out / "weights.csv", ["subject_id", "fold", "split", "weight"], weight_rows)
     _write_csv(out / "predictions.csv",
                ["subject_id", "fold", "split", "y_true", "prob"], pred_rows)
@@ -280,8 +289,8 @@ def _write_run_files(out: Path, run: ev.CVRun, subject_ids, factors, cfg: dict, 
         "n_folds": run.n_folds,
         "cohort": str(cohort),
         "config": cfg,
-        "fold_bacc": list(run.fold_bacc),
-        "fold_f1": list(run.fold_f1),
+        "fold_bacc": list(bacc),
+        "fold_f1": list(f1),
     })
 
 
@@ -290,13 +299,14 @@ def cmd_train(args) -> int:
     train_cfg = _build(tr.TrainConfig, cfg)
     data, factors = read_cohort_csv(args.cohort)
     run = ev.cross_validate(data, factors, train_cfg, n_folds=cfg["folds"])
+    bacc, f1 = run.scores()
     out = _out_dir(args.out)
-    _write_run_files(out, run, data.subject_ids, factors, cfg, args.cohort)
+    _write_run_files(out, run, data.subject_ids, factors, cfg, args.cohort, bacc, f1)
     for fold, model in enumerate(run.models):
         if isinstance(model, RecurrentClassifier):
             save_checkpoint(model, out / f"model_fold{fold}.bin")
-    print(f"scheme={run.scheme} BACC {ev.format_mean_std(run.fold_bacc)} "
-          f"F1 {ev.format_mean_std(run.fold_f1)}")
+    print(f"scheme={run.scheme} BACC {ev.format_mean_std(bacc)} "
+          f"F1 {ev.format_mean_std(f1)}")
     return EXIT_OK
 
 

@@ -19,6 +19,7 @@ numbers.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 from dataclasses import dataclass
@@ -102,6 +103,18 @@ def write_cohort_csv(path, data: CohortDataset, factors: FactorTable) -> None:
                                 + [_fmt(v) for v in subject.visits[t]])
 
 
+@contextlib.contextmanager
+def _open_for_reading(path):
+    """`path` open as UTF-8 text for a CSV reader; a byte that is not UTF-8
+    or a field over csv's size limit, met anywhere in the `with` block, is a
+    DataError naming the file."""
+    try:
+        with open(path, "r", newline="", encoding="utf-8") as fh:
+            yield fh
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+
+
 def _subject_blocks(path, fh):
     """The subject-block walk that both cohort readers share.
 
@@ -176,7 +189,7 @@ def read_cohort_csv(path) -> tuple[CohortDataset, FactorTable]:
     """Parse a cohort CSV one subject block at a time, never holding all rows."""
     subjects: list[Subject] = []
     factor_rows: list[list[float]] = []
-    with open(path, "r", newline="", encoding="utf-8") as fh:
+    with _open_for_reading(path) as fh:
         factor_names, width, blocks = _subject_blocks(path, fh)
         start = 3 + len(factor_names)
         for sid, label, fvals, block in blocks:
@@ -201,7 +214,7 @@ def read_factor_table(path) -> tuple[list[str], FactorTable]:
     """
     subject_ids: list[str] = []
     factor_rows: list[list[float]] = []
-    with open(path, "r", newline="", encoding="utf-8") as fh:
+    with _open_for_reading(path) as fh:
         factor_names, width, blocks = _subject_blocks(path, fh)
         n_fields = 3 + len(factor_names) + width
         for sid, _, fvals, block in blocks:
@@ -222,7 +235,7 @@ def write_groups_csv(path, subject_ids, groups) -> None:
 
 
 def read_groups_csv(path) -> dict[str, str]:
-    with open(path, "r", newline="", encoding="utf-8") as fh:
+    with _open_for_reading(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["subject_id", "noise_group"]:

@@ -128,54 +128,47 @@ def mann_whitney_u(group_a, group_b) -> tuple[float, float]:
 # cross-validation
 
 @dataclass
-class FoldResult:
-    fold: int
-    test_mask: np.ndarray     # (n_samples,) bool
-    y: np.ndarray             # (n_samples,)
-    prob: np.ndarray          # (n_samples,)
-    weights: np.ndarray       # (n_samples,), NaN where the scheme defines none
-
-
-@dataclass
 class CVRun:
+    """One scheme across stratified folds: each sample's test fold and label,
+    and per trained fold the final model's probability and the scheme's
+    weight for every sample (NaN where the scheme defines none)."""
+
     scheme: str
     seed: int
-    n_folds: int
-    fold_results: list[FoldResult] = field(default_factory=list)
+    folds: np.ndarray      # (n_samples,) test fold of each sample
+    labels: np.ndarray     # (n_samples,)
+    probs: np.ndarray      # (n_folds, n_samples)
+    weights: np.ndarray    # (n_folds, n_samples)
     manifests: list[dict] = field(default_factory=list)
     models: list = field(default_factory=list)
-    basis: SpectralBasis | None = None
-    basis_info: dict | None = None
+
+    @property
+    def n_folds(self) -> int:
+        return self.probs.shape[0]
+
+    def scores(self) -> tuple[np.ndarray, np.ndarray]:
+        """(balanced accuracy, F1) of each fold over its test samples."""
+        _, folds, y, prob, _ = self.pooled_test()
+        return fold_scores(folds, y, prob, self.n_folds)
 
     @property
     def fold_bacc(self) -> np.ndarray:
-        _, folds, y, prob, _ = self.pooled_test()
-        return fold_scores(folds, y, prob, self.n_folds)[0]
-
-    @property
-    def fold_f1(self) -> np.ndarray:
-        _, folds, y, prob, _ = self.pooled_test()
-        return fold_scores(folds, y, prob, self.n_folds)[1]
+        return self.scores()[0]
 
     def pooled_test(self):
-        """(row_index, fold, y, prob, weight) for every sample's test fold."""
-        rows, folds, ys, probs, ws = [], [], [], [], []
-        for fr in self.fold_results:
-            idx = np.flatnonzero(fr.test_mask)
-            rows.append(idx)
-            folds.append(np.full(idx.size, fr.fold))
-            ys.append(fr.y[idx])
-            probs.append(fr.prob[idx])
-            ws.append(fr.weights[idx])
-        return (np.concatenate(rows), np.concatenate(folds), np.concatenate(ys),
-                np.concatenate(probs), np.concatenate(ws))
+        """(row_index, fold, y, prob, weight) for every sample's test fold,
+        fold by fold and in row order within a fold."""
+        rows = np.argsort(self.folds, kind="stable")
+        folds = self.folds[rows]
+        return (rows, folds, self.labels[rows], self.probs[folds, rows],
+                self.weights[folds, rows])
 
 
 def fold_scores(folds, y, prob, n_folds: int) -> tuple[np.ndarray, np.ndarray]:
     """(balanced accuracy, F1) of each fold in `range(n_folds)` over its test
     samples, given one fold index, label and probability per pooled test
-    sample. The one per-fold scorer behind `CVRun.fold_bacc`/`fold_f1` and
-    `report`. A fold without both classes is a ValueError naming the fold."""
+    sample. The one per-fold scorer behind `CVRun.scores` and `report`. A
+    fold without both classes is a ValueError naming the fold."""
     folds, y, prob = np.asarray(folds), np.asarray(y), np.asarray(prob)
     bacc, f1 = [], []
     for fold in range(n_folds):
@@ -196,7 +189,7 @@ def format_mean_std(values) -> str:
 
 def cross_validate(data: CohortDataset, factors: FactorTable | None, cfg: tr.TrainConfig,
                    n_folds: int = 5, model_factory=tr.default_model_factory,
-                   basis: SpectralBasis | None = None, basis_info: dict | None = None) -> CVRun:
+                   basis: SpectralBasis | None = None) -> CVRun:
     """Train and score one scheme across stratified folds.
 
     The factor graph and its basis cover all samples and are built once; only
@@ -210,18 +203,15 @@ def cross_validate(data: CohortDataset, factors: FactorTable | None, cfg: tr.Tra
     if needs_graph and basis is None:
         if factors is None:
             raise ValueError(f"scheme {cfg.scheme} requires a factor table")
-        basis, basis_info = basis_from_factors(factors, cfg.k_neighbors, cfg.m_basis)
+        basis, _ = basis_from_factors(factors, cfg.k_neighbors, cfg.m_basis)
 
     folds = stratified_kfold(labels, n_folds, derive_seed(cfg.seed, "folds"))
-    run = CVRun(cfg.scheme, cfg.seed, n_folds, basis=basis, basis_info=basis_info)
+    probs, weights, manifests, models = [], [], [], []
     blas_threads = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
 
     for fold in range(n_folds):
-        test_mask = folds == fold
-        train_rows = np.flatnonzero(~test_mask)
-        test_rows = np.flatnonzero(test_mask)
         fold_cfg = replace(cfg, seed=derive_seed(cfg.seed, "fold", fold))
-        split = (train_rows, test_rows)
+        split = (np.flatnonzero(folds != fold), np.flatnonzero(folds == fold))
 
         if cfg.scheme == "spectral":
             result = tr.train_spectral(data, basis, fold_cfg, split, model_factory)
@@ -232,18 +222,10 @@ def cross_validate(data: CohortDataset, factors: FactorTable | None, cfg: tr.Tra
         else:
             result = tr.train_baseline_none(data, fold_cfg, split, model_factory)
 
-        prob = result.probs
-        if result.weight_field is not None:
-            weights = result.weight_field.weights()
-        elif cfg.scheme == "jtt":
-            weights = np.full(data.n_samples, np.nan)
-            weights[train_rows] = result.jtt_weights
-        else:
-            weights = np.ones(data.n_samples)
-
-        run.fold_results.append(FoldResult(fold, test_mask, labels.copy(), prob, weights))
-        run.models.append(result.model)
-        run.manifests.append({
+        probs.append(result.probs)
+        weights.append(result.weights)
+        models.append(result.model)
+        manifests.append({
             "fold": fold,
             "scheme": cfg.scheme,
             "seed": fold_cfg.seed,
@@ -254,7 +236,8 @@ def cross_validate(data: CohortDataset, factors: FactorTable | None, cfg: tr.Tra
             "epoch_losses": result.history.epoch_losses,
             "blas_threads": blas_threads,
         })
-    return run
+    return CVRun(cfg.scheme, cfg.seed, folds, labels, np.array(probs), np.array(weights),
+                 manifests, models)
 
 
 # ---------------------------------------------------------------------------
@@ -418,13 +401,13 @@ def sweep(data: CohortDataset, factors: FactorTable, cfg: tr.TrainConfig,
     """
     cells = []
     for ik, k in enumerate(k_values):
-        basis, info = basis_from_factors(factors, k, cfg.m_basis)
+        basis, _ = basis_from_factors(factors, k, cfg.m_basis)
         for ic, c in enumerate(c_values):
             cell_seed = cfg.seed + ik * len(c_values) + ic
             cell_cfg = replace(cfg, scheme="spectral", k_neighbors=k,
                                centering_c=c, seed=cell_seed)
             run = cross_validate(data, factors, cell_cfg, n_folds, model_factory,
-                                 basis=basis, basis_info=info)
+                                 basis=basis)
             gap = median_split_gap(run)
             cells.append(SweepCell(k, float(c), cell_seed, gap.gap_points,
                                    gap.gap_percent, gap.bacc_high, gap.bacc_low,

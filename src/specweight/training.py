@@ -129,24 +129,24 @@ class TrainResult:
     model: object
     weight_field: WeightField | None
     history: TrainHistory
-    probs: np.ndarray             # (n_samples,) final-model probability of every subject
-    jtt_weights: np.ndarray | None = None
+    probs: np.ndarray     # (n_samples,) final-model probability of every subject
+    weights: np.ndarray   # (n_samples,) weight of every subject, NaN where the scheme defines none
 
 
 def default_model_factory(feature_width: int, rng: np.random.Generator):
     return RecurrentClassifier(feature_width, hidden=64, fc=32, rng=rng)
 
 
-def _split_arrays(data: CohortDataset, split):
-    train_rows, test_rows = split
-    train_rows = np.asarray(train_rows, dtype=np.intp)
-    test_rows = np.asarray(test_rows, dtype=np.intp)
+def _train_rows(data: CohortDataset, split) -> np.ndarray:
+    """The sorted training rows of a (train rows, test rows) split, which must
+    partition the sample indices with at least one training row."""
+    train_rows, test_rows = (np.asarray(rows, dtype=np.intp) for rows in split)
     merged = np.sort(np.concatenate([train_rows, test_rows]))
     if not np.array_equal(merged, np.arange(data.n_samples)):
         raise ValueError("split must partition the sample indices")
     if train_rows.size == 0:
         raise ValueError("empty training split")
-    return np.sort(train_rows), np.sort(test_rows)
+    return np.sort(train_rows)
 
 
 def predict(data: CohortDataset, model, rows, chunk: int) -> np.ndarray:
@@ -224,10 +224,10 @@ def train_spectral(data: CohortDataset, basis: SpectralBasis, cfg: TrainConfig, 
     to the centering constant; with lr_a = 0 the whole run reduces exactly to
     uniform weighting by c.
     """
-    train_rows, test_rows = _split_arrays(data, split)
+    train_rows = _train_rows(data, split)
     if basis.n_samples != data.n_samples:
         raise ValueError("basis rows must cover every sample")
-    fld = WeightField.zeros(cfg.centering_c, basis, train_rows, test_rows)
+    fld = WeightField.zeros(cfg.centering_c, basis)
     opt_a = AdamState.zeros(basis.m_count)
 
     def after_batch(rows, losses):
@@ -238,28 +238,27 @@ def train_spectral(data: CohortDataset, basis: SpectralBasis, cfg: TrainConfig, 
 
     model, history, probs = _run_loop(data, cfg, train_rows, cfg.seed, model_factory,
                                       lambda rows: fld.weights(rows), after_batch)
-    return TrainResult(model, fld, history, probs)
+    return TrainResult(model, fld, history, probs, fld.weights())
 
 
 def train_baseline_none(data: CohortDataset, cfg: TrainConfig, split,
                         model_factory=default_model_factory) -> TrainResult:
     """Unweighted baseline: unit weights, otherwise the identical loop."""
-    train_rows, _ = _split_arrays(data, split)
-    model, history, probs = _run_loop(data, cfg, train_rows, cfg.seed, model_factory,
-                                      lambda rows: np.ones(rows.size))
-    return TrainResult(model, None, history, probs)
+    model, history, probs = _run_loop(data, cfg, _train_rows(data, split), cfg.seed,
+                                      model_factory, lambda rows: np.ones(rows.size))
+    return TrainResult(model, None, history, probs, np.ones(data.n_samples))
 
 
 def train_only_graph(data: CohortDataset, basis: SpectralBasis, cfg: TrainConfig, split,
                      model_factory=default_model_factory) -> TrainResult:
     """Graph-only weighting: a pinned to ones, weights fixed for the whole run."""
-    train_rows, test_rows = _split_arrays(data, split)
+    train_rows = _train_rows(data, split)
     if basis.n_samples != data.n_samples:
         raise ValueError("basis rows must cover every sample")
-    fld = WeightField(cfg.centering_c, np.ones(basis.m_count), basis, train_rows, test_rows)
+    fld = WeightField(cfg.centering_c, np.ones(basis.m_count), basis)
     model, history, probs = _run_loop(data, cfg, train_rows, cfg.seed, model_factory,
                                       lambda rows: fld.weights(rows))
-    return TrainResult(model, fld, history, probs)
+    return TrainResult(model, fld, history, probs, fld.weights())
 
 
 def train_jtt(data: CohortDataset, cfg: TrainConfig, split,
@@ -269,15 +268,16 @@ def train_jtt(data: CohortDataset, cfg: TrainConfig, split,
     Stage one trains unweighted. Stage two restarts from a fresh
     initialization (seed + 1) with per-sample weights of 1 for samples the
     first model classified correctly at threshold 0.5 and jtt_lambda for the
-    ones it missed. Both stages run the full epoch budget.
+    ones it missed. Both stages run the full epoch budget. Test rows get no
+    weight (NaN).
     """
-    train_rows, _ = _split_arrays(data, split)
+    train_rows = _train_rows(data, split)
     stage1 = train_baseline_none(data, cfg, split, model_factory)
 
-    weight_by_row = np.ones(data.n_samples)
+    weight_by_row = np.full(data.n_samples, np.nan)
     correct = (stage1.probs[train_rows] >= 0.5) == (data.labels[train_rows] == 1)
     weight_by_row[train_rows] = np.where(correct, 1.0, cfg.jtt_lambda)
 
     model, history, probs = _run_loop(data, cfg, train_rows, cfg.seed + 1, model_factory,
                                       lambda rows: weight_by_row[rows])
-    return TrainResult(model, None, history, probs, jtt_weights=weight_by_row[train_rows])
+    return TrainResult(model, None, history, probs, weight_by_row)

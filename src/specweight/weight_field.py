@@ -9,7 +9,7 @@ same formula without touching their features or labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,18 +18,16 @@ from .factor_graph import SpectralBasis
 
 @dataclass
 class WeightField:
-    """Centering constant, learnable coefficients, and row bookkeeping.
+    """Centering constant and learnable coefficients over a spectral basis.
 
-    `coeffs_a` is the single mutable piece of training state; everything else
-    is fixed for the lifetime of the field. Rows are global sample indices;
-    train and test rows must partition the basis rows.
+    `coeffs_a` is the single mutable piece of training state; the centering
+    constant and the basis are fixed for the lifetime of the field. Rows are
+    global sample indices.
     """
 
     centering_c: float
     coeffs_a: np.ndarray
     basis: SpectralBasis
-    train_rows: np.ndarray = field(default=None)
-    test_rows: np.ndarray = field(default=None)
 
     def __post_init__(self):
         self.coeffs_a = np.asarray(self.coeffs_a, dtype=np.float64)
@@ -38,20 +36,11 @@ class WeightField:
                 f"coefficient vector of length {self.coeffs_a.shape} for a "
                 f"{self.basis.m_count}-column basis"
             )
-        n = self.basis.n_samples
-        if self.train_rows is None and self.test_rows is None:
-            self.train_rows = np.arange(n)
-            self.test_rows = np.zeros(0, dtype=np.intp)
-        self.train_rows = np.asarray(self.train_rows, dtype=np.intp)
-        self.test_rows = np.asarray(self.test_rows, dtype=np.intp)
-        merged = np.concatenate([self.train_rows, self.test_rows])
-        if not np.array_equal(np.sort(merged), np.arange(n)):
-            raise ValueError("train and test rows must partition the basis rows")
 
     @classmethod
-    def zeros(cls, centering_c, basis, train_rows=None, test_rows=None) -> "WeightField":
+    def zeros(cls, centering_c, basis) -> "WeightField":
         """Field with a = 0: every sample starts at the centering weight."""
-        return cls(centering_c, np.zeros(basis.m_count), basis, train_rows, test_rows)
+        return cls(centering_c, np.zeros(basis.m_count), basis)
 
     def weights(self, rows=None) -> np.ndarray:
         """w_i = c + sum_j E_ij a_j for the requested rows (all by default).
@@ -62,12 +51,6 @@ class WeightField:
         e = self.basis.basis if rows is None else self.basis.basis[rows]
         return self.centering_c + e @ self.coeffs_a
 
-    def train_weights(self) -> np.ndarray:
-        return self.weights(self.train_rows)
-
-    def test_weights(self) -> np.ndarray:
-        return self.weights(self.test_rows)
-
 
 def negativity_penalty(weights) -> float:
     """Hinge penalty sum(max(0, -w)) discouraging negative sample weights."""
@@ -75,14 +58,14 @@ def negativity_penalty(weights) -> float:
     return float(np.maximum(0.0, -w).sum())
 
 
-def grad_a(field: WeightField, per_sample_losses, rows=None) -> np.ndarray:
+def grad_a(field: WeightField, per_sample_losses, rows) -> np.ndarray:
     """Gradient of the weighted objective with respect to the coefficients.
 
     The objective over the given rows is sum_i w_i l_i + sum_i max(0, -w_i)
     with the losses l_i treated as constants, so d/da_j = sum_i e_ij (l_i - t_i)
     where t_i is 1 where w_i < 0 and 0 elsewhere (hinge subgradient at 0 is 0).
     """
-    rows = field.train_rows if rows is None else np.asarray(rows, dtype=np.intp)
+    rows = np.asarray(rows, dtype=np.intp)
     losses = np.asarray(per_sample_losses, dtype=np.float64)
     if losses.shape != (rows.shape[0],):
         raise ValueError(f"{losses.shape[0]} losses for {rows.shape[0]} rows")

@@ -771,13 +771,107 @@ class TestExitPaths:
         assert message in proc.stderr
 
     @pytest.mark.parametrize("args, message", [
-        (["train", "--folds", "1", "--epochs", "1"], "k must be >= 2"),
+        (["train", "--folds", "1", "--epochs", "1"], "folds must be >= 2"),
         (["graph", "--m", "-1"], "m must be >= 0"),
     ])
     def test_argument_shape_stays_usage_error(self, small_cohort, tmp_path, args, message):
         proc = run_cli(*args, "--k", "5", "--cohort", small_cohort, "--out", tmp_path)
         assert_usage_error(proc)
         assert message in proc.stderr
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command, key, value, message", [
+        ("graph", "m", "-1", "m must be >= 0, got -1"),
+        ("train", "m", "-1", "m must be >= 0, got -1"),
+        ("sweep", "m", "-1", "m must be >= 0, got -1"),
+        ("train", "folds", "1", "folds must be >= 2, got 1"),
+        ("sweep", "folds", "1", "folds must be >= 2, got 1"),
+    ])
+    def test_out_of_range_count_is_usage_error_before_reading(self, tmp_path, capsys, source,
+                                                              command, key, value, message):
+        # The cohort does not exist: exit 1 rather than 2 shows the settings
+        # are checked before it is read.
+        if source == "flag":
+            flags = [f"--{key}={value}"]
+        else:
+            (tmp_path / "bad.cfg").write_text(f"{key}={value}\n")
+            flags = ["--config", str(tmp_path / "bad.cfg")]
+        rc = main([command, "--cohort", str(tmp_path / "absent.csv"),
+                   "--out", str(tmp_path / "out"), *flags])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [["graph"], ["train", "--epochs", "1"]],
+                             ids=["graph", "train"])
+    @pytest.mark.parametrize("damage, insert, message", [
+        ("bad-byte", b"\xff", "'utf-8' codec can't decode byte 0xff"),
+        ("oversized-field", b"9" * 131073, "field larger than field limit (131072)"),
+    ], ids=["bad-byte", "oversized-field"])
+    def test_unreadable_cohort_is_data_error(self, small_cohort, tmp_path, argv, damage,
+                                             insert, message):
+        raw = small_cohort.read_bytes()
+        end = raw.index(b"\n", len(raw) // 2)  # the end of a data line
+        cohort = tmp_path / "cohort.csv"
+        cohort.write_bytes(raw[:end] + insert + raw[end:])
+        proc = run_cli(*argv, "--cohort", cohort, "--out", tmp_path / "out", "--k", "5")
+        assert_data_error(proc)
+        assert f"cannot read {cohort}: " in proc.stderr and message in proc.stderr
+
+    @pytest.mark.parametrize("command", ["graph", "train", "sweep"])
+    def test_undecodable_config_is_data_error(self, tmp_path, command):
+        config = tmp_path / "bad.cfg"
+        config.write_bytes(b"seed=1\n# caf\xe9\n")
+        proc = run_cli(command, "--cohort", tmp_path / "absent.csv", "--out", tmp_path / "out",
+                       "--config", config)
+        assert_data_error(proc)
+        assert f"cannot read config file {config}: 'utf-8' codec" in proc.stderr
+
+
+def mutate_cohort(raw: bytes, mutations) -> bytes:
+    """`raw` after each mutation in turn: a truncation, an inserted byte that
+    is not UTF-8, an inserted field over csv's size limit, a dropped or
+    duplicated line, or one cell of a line replaced by text."""
+    for kind, at, *rest in mutations:
+        if kind in ("truncate", "bad-byte", "oversized"):
+            at %= len(raw) + 1
+            insert = {"truncate": b"", "bad-byte": b"\xff", "oversized": b"9" * 131073}[kind]
+            raw = raw[:at] + insert + (b"" if kind == "truncate" else raw[at:])
+            continue
+        lines = raw.split(b"\n")
+        at %= len(lines)
+        if kind == "drop":
+            del lines[at]
+        elif kind == "duplicate":
+            lines.insert(at, lines[at])
+        else:
+            cells = lines[at].split(b",")
+            cells[rest[0] % len(cells)] = rest[1].encode()
+            lines[at] = b",".join(cells)
+        raw = b"\n".join(lines)
+    return raw
+
+
+class TestMutatedCohort:
+    @settings(max_examples=12, deadline=None)
+    @given(mutations=st.lists(st.one_of(
+        st.tuples(st.sampled_from(["truncate", "bad-byte", "oversized", "drop", "duplicate"]),
+                  st.integers(0, 10 ** 6)),
+        st.tuples(st.just("cell"), st.integers(0, 10 ** 6), st.integers(0, 40),
+                  st.text(max_size=6))), min_size=1, max_size=3))
+    def test_graph_and_train_exit_0_2_or_3(self, small_cohort, mutations):
+        """`graph` and a one-epoch `train` on a damaged cohort succeed, report
+        a data error or a numerical failure, and never print a traceback."""
+        with tempfile.TemporaryDirectory() as tmp:
+            cohort = Path(tmp) / "cohort.csv"
+            cohort.write_bytes(mutate_cohort(small_cohort.read_bytes(), mutations))
+            for argv in (["graph"], ["train", "--epochs", "1", "--folds", "2"]):
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    rc = main([*argv, "--cohort", str(cohort), "--out", str(Path(tmp) / "out"),
+                               "--k", "5", "--m", "3"])
+                assert rc in (0, 2, 3), err.getvalue()
+                assert "Traceback" not in err.getvalue()
 
 
 class TestUsage:

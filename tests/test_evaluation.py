@@ -12,7 +12,6 @@ from specweight.evaluation import (
     DEFAULT_C_GRID,
     DEFAULT_K_GRID,
     CVRun,
-    FoldResult,
     _tertile_bins,
     balanced_accuracy,
     cross_validate,
@@ -246,12 +245,11 @@ class TestMannWhitney:
 
 
 def _run_from_arrays(y, prob, weights):
-    run = CVRun("spectral", seed=0, n_folds=1)
+    """A one-fold run whose pooled test arrays are `y`, `prob` and `weights`."""
     y = np.asarray(y, dtype=float)
-    run.fold_results.append(FoldResult(
-        fold=0, test_mask=np.ones(y.size, dtype=bool), y=y,
-        prob=np.asarray(prob, dtype=float), weights=np.asarray(weights, dtype=float)))
-    return run
+    return CVRun("spectral", seed=0, folds=np.zeros(y.size, dtype=int), labels=y,
+                 probs=np.asarray(prob, dtype=float)[None],
+                 weights=np.asarray(weights, dtype=float)[None])
 
 
 class TestMedianSplit:
@@ -342,14 +340,14 @@ class TestCrossValidateAndSweep:
         cfg = TrainConfig(scheme="spectral", epochs=2, lr_model=5e-2, lr_a=1e-3,
                           batch_size=16, k_neighbors=8, m_basis=4, seed=9)
         run = cross_validate(data, factors, cfg, n_folds=5, model_factory=logistic_factory)
-        assert len(run.fold_results) == 5
-        assert run.fold_bacc.shape == run.fold_f1.shape == (5,)
-        assert np.all((0.0 <= run.fold_bacc) & (run.fold_bacc <= 1.0))
-        assert np.all((0.0 <= run.fold_f1) & (run.fold_f1 <= 1.0))
-        covered = np.zeros(data.n_samples, dtype=int)
-        for f in run.fold_results:
-            covered += f.test_mask
-        assert np.all(covered == 1)
+        bacc, f1 = run.scores()
+        assert run.n_folds == 5
+        assert run.probs.shape == run.weights.shape == (5, data.n_samples)
+        assert bacc.shape == f1.shape == (5,)
+        assert np.array_equal(run.fold_bacc, bacc)
+        assert np.all((0.0 <= bacc) & (bacc <= 1.0))
+        assert np.all((0.0 <= f1) & (f1 <= 1.0))
+        assert np.array_equal(np.unique(run.folds), np.arange(5))
         m = run.manifests[0]
         assert {"fold", "scheme", "seed", "config", "initial_objective",
                 "final_objective", "epoch_losses"} <= set(m)
@@ -359,10 +357,32 @@ class TestCrossValidateAndSweep:
         data, factors, _ = tiny_cohort
         cfg = TrainConfig(scheme="none", epochs=1, lr_model=5e-2, batch_size=16, seed=3)
         run = cross_validate(data, factors, cfg, n_folds=4, model_factory=logistic_factory)
-        for fr, bacc, f1 in zip(run.fold_results, run.fold_bacc, run.fold_f1, strict=True):
-            y, prob = fr.y[fr.test_mask], fr.prob[fr.test_mask]
+        for fold, (bacc, f1) in enumerate(zip(*run.scores(), strict=True)):
+            test = run.folds == fold
+            y, prob = run.labels[test], run.probs[fold, test]
             assert bacc == balanced_accuracy(y, prob)
             assert f1 == f1_score(y, prob)
+
+    @pytest.mark.parametrize("scheme", ["spectral", "jtt"])
+    def test_pooled_test_equals_per_fold_loop(self, tiny_cohort, scheme):
+        """pooled_test against the per-fold concatenation it replaced: test
+        rows fold by fold, in row order within a fold, bit for bit (jtt's
+        test weights are NaN)."""
+        data, factors, _ = tiny_cohort
+        cfg = TrainConfig(scheme=scheme, epochs=1, lr_model=5e-2, lr_a=1e-3, batch_size=16,
+                          k_neighbors=8, m_basis=4, seed=12)
+        run = cross_validate(data, factors, cfg, n_folds=3, model_factory=logistic_factory)
+        rows, folds, ys, probs, ws = [], [], [], [], []
+        for fold in range(run.n_folds):
+            idx = np.flatnonzero(run.folds == fold)
+            rows.append(idx)
+            folds.append(np.full(idx.size, fold))
+            ys.append(data.labels.copy()[idx])
+            probs.append(run.probs[fold][idx])
+            ws.append(run.weights[fold][idx])
+        expected = [np.concatenate(a) for a in (rows, folds, ys, probs, ws)]
+        for got, want in zip(run.pooled_test(), expected, strict=True):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_fold_scores_names_a_one_class_fold(self):
         bacc, f1 = fold_scores([0, 0, 1, 1], [0, 1, 0, 1], [0.2, 0.9, 0.6, 0.1], 2)
@@ -394,7 +414,7 @@ class TestCrossValidateAndSweep:
         cfg = TrainConfig(scheme=scheme, epochs=epochs, batch_size=b, k_neighbors=8,
                           m_basis=4, seed=6)
         run = cross_validate(data, factors, cfg, n_folds=3, model_factory=counting_factory)
-        n_train = [n - int(f.test_mask.sum()) for f in run.fold_results]
+        n_train = [n - int(np.sum(run.folds == fold)) for fold in range(run.n_folds)]
         per_model = [-(-t // b) * (1 + epochs) + -(-n // b) for t in n_train]
         assert len(batch_sizes) == trained_models * sum(per_model)
         assert sum(batch_sizes) == trained_models * sum((1 + epochs) * t + n for t in n_train)

@@ -202,7 +202,7 @@ class TestSpectral:
                              model_factory=small_gru_factory)
 
         assert np.array_equal(ref.model.flat_params(), alt.model.flat_params())
-        assert np.array_equal(ref.weight_field.test_weights(), alt.weight_field.test_weights())
+        assert np.array_equal(ref.weights[test_rows], alt.weights[test_rows])
         assert np.array_equal(ref.weight_field.coeffs_a, alt.weight_field.coeffs_a)
 
     def test_none_equals_spectral_with_empty_basis(self, cohort_and_basis):
@@ -244,6 +244,50 @@ class TestSpectral:
                            model_factory=lambda fw, rng: PoisonedModel(fw, rng))
 
 
+def train_scheme(scheme, data, basis, cfg, split, model_factory):
+    if scheme == "spectral":
+        return train_spectral(data, basis, cfg, split, model_factory)
+    if scheme == "only_graph":
+        return train_only_graph(data, basis, cfg, split, model_factory)
+    if scheme == "jtt":
+        return train_jtt(data, cfg, split, model_factory)
+    return train_baseline_none(data, cfg, split, model_factory)
+
+
+SCHEMES = ["none", "spectral", "only_graph", "jtt"]
+
+
+class TestTrainResult:
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("kind", ["overlapping", "incomplete"])
+    def test_split_must_partition_the_samples(self, cohort_and_basis, scheme, kind):
+        data, _, basis = cohort_and_basis
+        train_rows, test_rows = half_split(data.n_samples)
+        if kind == "overlapping":
+            split = (np.append(train_rows, test_rows[0]), test_rows)
+        else:
+            split = (train_rows, test_rows[1:])
+        cfg = TrainConfig(scheme=scheme, epochs=1, batch_size=16, seed=40)
+        with pytest.raises(ValueError, match="split must partition the sample indices"):
+            train_scheme(scheme, data, basis, cfg, split, logistic_factory)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_one_weight_per_sample(self, cohort_and_basis, scheme):
+        data, _, basis = cohort_and_basis
+        train_rows, test_rows = half_split(data.n_samples)
+        cfg = TrainConfig(scheme=scheme, epochs=1, lr_a=1e-3, batch_size=16, seed=41)
+        result = train_scheme(scheme, data, basis, cfg, (train_rows, test_rows),
+                              logistic_factory)
+        assert result.weights.shape == (data.n_samples,)
+        if scheme == "none":
+            assert np.all(result.weights == 1.0)
+        elif scheme == "jtt":
+            assert np.all(np.isfinite(result.weights[train_rows]))
+            assert np.all(np.isnan(result.weights[test_rows]))
+        else:
+            assert np.array_equal(result.weights, result.weight_field.weights())
+
+
 class TestFullCohortPass:
     def test_probs_are_the_final_model_on_every_subject(self, cohort_and_basis):
         data, _, basis = cohort_and_basis
@@ -266,7 +310,7 @@ class TestFullCohortPass:
         else:
             result = train_jtt(data, cfg, (train_rows, test_rows),
                                model_factory=small_gru_factory)
-            w = result.jtt_weights
+            w = result.weights[train_rows]
         losses = bce_loss(result.probs[train_rows], data.labels[train_rows])
         expected = (float(w @ losses) + negativity_penalty(w)) / train_rows.size
         assert result.history.final_objective == expected
@@ -336,7 +380,9 @@ class TestJTT:
         cfg = TrainConfig(scheme="jtt", epochs=2, jtt_lambda=2.0, batch_size=16, seed=12)
         result = train_jtt(data, cfg, half_split(data.n_samples),
                            model_factory=logistic_factory)
-        assert set(np.unique(result.jtt_weights)) <= {1.0, 2.0}
+        train_rows, test_rows = half_split(data.n_samples)
+        assert set(np.unique(result.weights[train_rows])) <= {1.0, 2.0}
+        assert np.all(np.isnan(result.weights[test_rows]))
 
     def test_stage_two_weights_mark_stage_one_mistakes(self, tiny_cohort):
         data, _, _ = tiny_cohort
@@ -347,8 +393,8 @@ class TestJTT:
         stage1 = train_baseline_none(data, cfg, split, model_factory=small_gru_factory)
         correct = (stage1.probs[train_rows] >= 0.5) == (data.labels[train_rows] == 1)
         assert not correct.all()
-        assert np.array_equal(result.jtt_weights, np.where(correct, 1.0, 3.0))
-        assert set(np.unique(result.jtt_weights)) == {1.0, 3.0}
+        assert np.array_equal(result.weights[train_rows], np.where(correct, 1.0, 3.0))
+        assert set(np.unique(result.weights[train_rows])) == {1.0, 3.0}
 
     def test_lambda_one_equals_unweighted_rerun(self, tiny_cohort):
         data, _, _ = tiny_cohort
@@ -377,7 +423,7 @@ class TestJTT:
                           batch_size=8, seed=16)
         split = (np.arange(30), np.arange(30, 40))
         result = train_jtt(data, cfg, split, model_factory=logistic_factory)
-        assert np.all(result.jtt_weights == 1.0)
+        assert np.all(result.weights[split[0]] == 1.0)
         rerun = train_baseline_none(data, TrainConfig(scheme="none", epochs=80, lr_model=0.2,
                                     batch_size=8, seed=17), split,
                                     model_factory=logistic_factory)

@@ -31,11 +31,6 @@ class TestWeights:
         # repeated identical calls are bit-identical
         assert np.array_equal(fld.weights(rows), fld.weights(rows))
 
-    def test_train_test_partition_enforced(self, small_basis):
-        basis, _ = small_basis
-        with pytest.raises(ValueError):
-            WeightField.zeros(1.0, basis, train_rows=np.arange(10), test_rows=np.arange(5, basis.n_samples))
-
     def test_coefficient_length_enforced(self, small_basis):
         basis, _ = small_basis
         with pytest.raises(ValueError):
@@ -76,7 +71,7 @@ class TestGradA:
     def test_zero_losses_positive_weights(self, small_basis):
         basis, _ = small_basis
         fld = WeightField.zeros(1.0, basis)
-        g = grad_a(fld, np.zeros(basis.n_samples))
+        g = grad_a(fld, np.zeros(basis.n_samples), np.arange(basis.n_samples))
         assert np.array_equal(g, np.zeros(basis.m_count))
 
     def test_single_row_product(self):
@@ -89,7 +84,7 @@ class TestGradA:
         e = np.array([[0.5], [-0.5]])
         # c = -1: both weights negative, indicator subtracts 1 from each loss
         fld = WeightField(-1.0, np.zeros(1), SpectralBasis(e, np.array([1.0])))
-        g = grad_a(fld, np.array([2.0, 3.0]))
+        g = grad_a(fld, np.array([2.0, 3.0]), np.arange(2))
         assert np.allclose(g, [0.5 * (2.0 - 1.0) - 0.5 * (3.0 - 1.0)], atol=1e-15)
 
     def test_length_mismatch(self, small_basis):
@@ -119,6 +114,6 @@ class TestGradA:
             up[j] += h
             down[j] -= h
             fd[j] = (objective(up) - objective(down)) / (2 * h)
-        g = grad_a(fld, losses)
+        g = grad_a(fld, losses, np.arange(basis.n_samples))
         rel = np.abs(g - fd) / np.maximum(np.abs(g) + np.abs(fd), 1e-9)
         assert np.max(rel) < 1e-6
