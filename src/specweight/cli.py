@@ -15,7 +15,6 @@ work for it too: it draws no random numbers.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -30,7 +29,7 @@ from . import training as tr
 from .dataset import read_cohort_csv, read_factor_table, write_cohort_csv, write_groups_csv
 from .errors import DataError, NumericalError
 from .factor_graph import basis_from_factors
-from .predictor import RecurrentClassifier, save_checkpoint
+from .runio import _jsonify, _write_csv, _write_json, load_run, save_run
 from .synth import SynthSpec, describe, generate
 
 EXIT_OK = 0
@@ -92,8 +91,9 @@ _ALIASES = {"batch_size": "batch", "k_neighbors": "k", "centering_c": "c", "m_ba
 # (SynthSpec.factors) are not settings.
 _CASTS = {int: int, float: float, str: str, int | str: _parse_m}
 _FLAGS = {"k_grid": "--k", "c_grid": "--c"}
-# Lower bounds of integer settings that no dataclass checks (m may also be "auto").
-_MINIMUM = {"folds": 2, "m": 0}
+# Lower bounds of integer settings that no dataclass checks (m may also be
+# "auto"); each value of the k_grid tuple must meet its bound.
+_MINIMUM = {"folds": 2, "m": 0, "k": 1, "k_grid": 1, "seed": 0}
 
 
 def _flag(key: str) -> str:
@@ -126,8 +126,8 @@ def _build(cls, cfg: dict):
 
 
 def _effective(args, settings: dict) -> dict:
-    """Merge defaults, config file values, and explicit CLI flags; an
-    out-of-range fold count or m is a usage error before any input is read."""
+    """Merge defaults, config file values, and explicit CLI flags; a setting
+    below its `_MINIMUM` is a usage error before any input is read."""
     merged = {key: default for key, (default, _) in settings.items()}
     if getattr(args, "config", None):
         for key, raw in _read_config_file(args.config).items():
@@ -145,8 +145,9 @@ def _effective(args, settings: dict) -> dict:
             merged[key] = flag_value
     for key, low in _MINIMUM.items():
         value = merged.get(key, low)
-        if value != "auto" and value < low:
-            raise _UsageError(f"{key} must be >= {low}, got {value}")
+        for v in value if isinstance(value, tuple) else (value,):
+            if v != "auto" and v < low:
+                raise _UsageError(f"{key} must be >= {low}, got {v}")
     return merged
 
 
@@ -154,37 +155,6 @@ def _add_settings(parser, settings: dict, helps=None):
     for key, (_, cast) in settings.items():
         parser.add_argument(_flag(key), dest=key, type=cast, help=(helps or {}).get(key),
                             choices=tr.SCHEMES if key == "scheme" else None)
-
-
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        obj = float(obj)
-    if isinstance(obj, float) and math.isnan(obj):
-        return None
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
-    return obj
-
-
-def _write_json(path, obj):
-    Path(path).write_text(json.dumps(_jsonify(obj), indent=2) + "\n", encoding="utf-8")
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _fmt(x) -> str:
-    return repr(float(x))
 
 
 def _out_dir(path) -> Path:
@@ -234,7 +204,7 @@ def cmd_graph(args) -> int:
     out = _out_dir(args.out)
 
     _write_csv(out / "eigenspectrum.csv", ["rank", "eigenvalue"],
-               [[i, _fmt(v)] for i, v in enumerate(info["eigenvalues"])])
+               enumerate(info["eigenvalues"].tolist()))
     summary = {
         "n_samples": factors.n_samples,
         "k_neighbors": cfg["k"],
@@ -250,48 +220,14 @@ def cmd_graph(args) -> int:
         mismatch = "" if n_comp == n_null else f" but {n_null} null Laplacian eigenvalues"
         print(f"warning: factor graph has {n_comp} connected components{mismatch}",
               file=sys.stderr)
-    if args.dump_graph:
-        n = factors.n_samples
-        _write_csv(out / "adjacency.csv", [f"c{j}" for j in range(n)],
-                   [[_fmt(v) for v in row] for row in info["graph"].adjacency])
-        _write_csv(out / "laplacian.csv", [f"c{j}" for j in range(n)],
-                   [[_fmt(v) for v in row] for row in info["laplacian"]])
-        _write_csv(out / "basis.csv",
-                   ["subject_id"] + [f"e{j}" for j in range(basis.m_count)],
-                   [[sid] + [_fmt(v) for v in basis.basis[i]]
-                    for i, sid in enumerate(subject_ids)])
+    if args.dump_graph:  # csv writes each Python float as repr(float)
+        header = [f"c{j}" for j in range(factors.n_samples)]
+        _write_csv(out / "adjacency.csv", header, info["graph"].adjacency.tolist())
+        _write_csv(out / "laplacian.csv", header, info["laplacian"].tolist())
+        _write_csv(out / "basis.csv", ["subject_id"] + [f"e{j}" for j in range(basis.m_count)],
+                   [[sid] + row for sid, row in zip(subject_ids, basis.basis.tolist())])
     print(json.dumps(_jsonify(summary), indent=2))
     return EXIT_OK
-
-
-def _write_run_files(out: Path, run: ev.CVRun, subject_ids, factors, cfg: dict, cohort: str,
-                     bacc, f1):
-    weight_rows, pred_rows = [], []
-    for fold in range(run.n_folds):
-        for i, sid in enumerate(subject_ids):
-            split = "test" if run.folds[i] == fold else "train"
-            w = run.weights[fold, i]
-            if math.isfinite(w):
-                weight_rows.append([sid, fold, split, _fmt(w)])
-            pred_rows.append([sid, fold, split, int(run.labels[i]), _fmt(run.probs[fold, i])])
-    _write_csv(out / "weights.csv", ["subject_id", "fold", "split", "weight"], weight_rows)
-    _write_csv(out / "predictions.csv",
-               ["subject_id", "fold", "split", "y_true", "prob"], pred_rows)
-    _write_csv(out / "factors.csv",
-               ["subject_id"] + [f"f_{n}" for n in factors.factor_names],
-               [[sid] + [_fmt(v) for v in factors.values[i]]
-                for i, sid in enumerate(subject_ids)])
-    for manifest in run.manifests:
-        _write_json(out / f"manifest_fold{manifest['fold']}.json", manifest)
-    _write_json(out / "run_summary.json", {
-        "scheme": run.scheme,
-        "seed": run.seed,
-        "n_folds": run.n_folds,
-        "cohort": str(cohort),
-        "config": cfg,
-        "fold_bacc": list(bacc),
-        "fold_f1": list(f1),
-    })
 
 
 def cmd_train(args) -> int:
@@ -299,12 +235,7 @@ def cmd_train(args) -> int:
     train_cfg = _build(tr.TrainConfig, cfg)
     data, factors = read_cohort_csv(args.cohort)
     run = ev.cross_validate(data, factors, train_cfg, n_folds=cfg["folds"])
-    bacc, f1 = run.scores()
-    out = _out_dir(args.out)
-    _write_run_files(out, run, data.subject_ids, factors, cfg, args.cohort, bacc, f1)
-    for fold, model in enumerate(run.models):
-        if isinstance(model, RecurrentClassifier):
-            save_checkpoint(model, out / f"model_fold{fold}.bin")
+    bacc, f1 = save_run(_out_dir(args.out), run, data.subject_ids, factors, cfg, args.cohort)
     print(f"scheme={run.scheme} BACC {ev.format_mean_std(bacc)} "
           f"F1 {ev.format_mean_std(f1)}")
     return EXIT_OK
@@ -312,55 +243,26 @@ def cmd_train(args) -> int:
 
 def cmd_report(args) -> int:
     run_dir = Path(args.run)
-    summary = _read_run_summary(run_dir / "run_summary.json")
-    preds = _read_table(run_dir / "predictions.csv",
-                        ["subject_id", "fold", "split", "y_true", "prob"],
-                        [str, int, str, int, float])
-    weights = _read_table(run_dir / "weights.csv",
-                          ["subject_id", "fold", "split", "weight"], [str, int, str, float])
-    factor_names, factors_by_id = _read_factors(run_dir / "factors.csv")
-    n_folds = summary["n_folds"]
-    for name, rows in (("predictions.csv", preds), ("weights.csv", weights)):
-        bad = next((r[1] for r in rows if not 0 <= r[1] < n_folds), None)
-        if bad is not None:
-            raise DataError(f"{run_dir / name}: fold {bad} is outside 0..{n_folds - 1} "
-                            f"(run_summary.json has n_folds {n_folds})")
-
-    weight_by_key = {(r[0], r[1]): r[3] for r in weights}
-    # Folds in order, each in file order: CVRun.pooled_test order.
-    test = sorted((r for r in preds if r[2] == "test"), key=lambda r: r[1])
-    missing = next((r[0] for r in test if r[0] not in factors_by_id), None)
-    if missing is not None:
-        raise DataError(f"{run_dir / 'factors.csv'}: no row for subject {missing!r}")
-    # Every scheme but jtt writes a weight for each test row.
-    unweighted = next((r for r in test if (r[0], r[1]) not in weight_by_key), None)
-    if unweighted is not None and summary["scheme"] != "jtt":
-        raise DataError(f"{run_dir / 'weights.csv'}: no weight for test subject "
-                        f"{unweighted[0]!r} in fold {unweighted[1]}")
+    run, _, factor_names, factor_values, _ = load_run(run_dir)
+    rows, folds, y, prob, w = run.pooled_test()
     try:
-        bacc, f1, gap, tables = ev.pooled_analysis(
-            [r[1] for r in test], [r[3] for r in test], [r[4] for r in test],
-            [weight_by_key.get((r[0], r[1]), float("nan")) for r in test],
-            np.array([factors_by_id[r[0]] for r in test]), factor_names, n_folds)
+        bacc, f1, gap, tables = ev.pooled_analysis(folds, y, prob, w, factor_values[rows],
+                                                   factor_names, run.n_folds)
     except ValueError as exc:
         raise DataError(f"{run_dir / 'predictions.csv'}: {exc}") from None
 
-    subcohorts = {}
     out = _out_dir(args.out) if args.out else run_dir
     for table in tables:
-        subcohorts[table.factor] = {
-            "groups": [asdict(g) for g in table.groups],
-            "pairwise": [asdict(p) for p in table.pairwise],
-        }
-        _write_csv(out / f"subcohorts_{table.factor}.csv",
-                   ["group", "n", "mean_weight", "bacc"],
-                   [[g.label, g.n, _fmt(g.mean_weight),
-                     "" if g.bacc is None else _fmt(g.bacc)] for g in table.groups])
+        _write_csv(out / f"subcohorts_{table.factor}.csv", ["group", "n", "mean_weight", "bacc"],
+                   [[g.label, g.n, g.mean_weight, "" if g.bacc is None else g.bacc]
+                    for g in table.groups])
+    subcohorts = {t.factor: {"groups": [asdict(g) for g in t.groups],
+                             "pairwise": [asdict(p) for p in t.pairwise]} for t in tables}
 
     report = {
-        "scheme": summary["scheme"],
-        "seed": summary["seed"],
-        "n_folds": n_folds,
+        "scheme": run.scheme,
+        "seed": run.seed,
+        "n_folds": run.n_folds,
         "overall": {
             "bacc_mean": float(bacc.mean()), "bacc_std": float(bacc.std()),
             "f1_mean": float(f1.mean()), "f1_std": float(f1.std()),
@@ -377,69 +279,6 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
-def _read_run_summary(path) -> dict:
-    """The run's summary; anything but a JSON object with scheme, seed and an
-    integer n_folds >= 2 is a DataError naming the file."""
-    try:
-        summary = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise DataError(f"not a run directory: {exc}") from None
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from None
-    if not (isinstance(summary, dict) and "scheme" in summary and "seed" in summary
-            and type(summary.get("n_folds")) is int and summary["n_folds"] >= 2):
-        raise DataError(f"{path}: expected a JSON object with scheme, seed and an "
-                        "integer n_folds >= 2")
-    return summary
-
-
-def _read_table(path, expected_header, casts):
-    """Rows of a run CSV, each field converted by the cast of its column; a
-    row that does not convert is a DataError naming its line."""
-    try:
-        with open(path, "r", newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != expected_header:
-                raise DataError(f"{path}: expected header {','.join(expected_header)}")
-            rows = []
-            for row in reader:
-                if len(row) != len(casts):
-                    raise DataError(f"{path}:{reader.line_num}: expected {len(casts)} fields, "
-                                    f"got {len(row)}")
-                try:
-                    rows.append([cast(v) for cast, v in zip(casts, row)])
-                except ValueError as exc:
-                    raise DataError(f"{path}:{reader.line_num}: {exc}") from None
-            return rows
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
-
-
-def _read_factors(path):
-    """(factor names, finite factor values by subject id) from a run's
-    factors.csv; a malformed header, a duplicated subject or a bad row is a
-    DataError naming the file and, for a row, its line."""
-    try:
-        with open(path, "r", newline="", encoding="utf-8") as fh:
-            header = next(csv.reader(fh), None)
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
-    names = [c[2:] for c in (header or [])[1:]]
-    if (not header or header[0] != "subject_id" or len(set(names)) != len(names)
-            or not all(c.startswith("f_") and c[2:] for c in header[1:])):
-        raise DataError(f"{path}: expected header subject_id,f_<factor>...")
-    by_id = {}
-    for line, (sid, *values) in enumerate(
-            _read_table(path, header, [str] + [float] * len(names)), start=2):
-        if sid in by_id:
-            raise DataError(f"{path}:{line}: duplicate subject {sid!r}")
-        if not all(math.isfinite(v) for v in values):
-            raise DataError(f"{path}:{line}: non-finite factor value")
-        by_id[sid] = values
-    return names, by_id
-
-
 def cmd_sweep(args) -> int:
     cfg = _effective(args, _SWEEP)
     base_cfg = _build(tr.TrainConfig, cfg)
@@ -454,11 +293,10 @@ def cmd_sweep(args) -> int:
     _write_csv(out / "sweep_grid.csv",
                ["k", "c", "seed", "gap_points", "gap_percent",
                 "bacc_high", "bacc_low", "overall_bacc", "degenerate"],
-               [[cell.k, _fmt(cell.c), cell.seed, _fmt(cell.gap_points),
-                 _fmt(cell.gap_percent),
-                 "" if math.isnan(cell.bacc_high) else _fmt(cell.bacc_high),
-                 "" if math.isnan(cell.bacc_low) else _fmt(cell.bacc_low),
-                 _fmt(cell.overall_bacc), int(cell.degenerate)] for cell in cells])
+               [[cell.k, cell.c, cell.seed, cell.gap_points, cell.gap_percent,
+                 "" if math.isnan(cell.bacc_high) else cell.bacc_high,
+                 "" if math.isnan(cell.bacc_low) else cell.bacc_low,
+                 cell.overall_bacc, int(cell.degenerate)] for cell in cells])
     print(f"wrote {len(cells)} sweep cells to {out / 'sweep_grid.csv'}")
     return EXIT_OK
 

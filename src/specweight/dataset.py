@@ -83,10 +83,6 @@ class CohortDataset:
         return [s.subject_id for s in self.subjects]
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def write_cohort_csv(path, data: CohortDataset, factors: FactorTable) -> None:
     if factors.n_samples != data.n_samples:
         raise DataError("factor table and cohort sample counts differ")
@@ -96,11 +92,10 @@ def write_cohort_csv(path, data: CohortDataset, factors: FactorTable) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for i, subject in enumerate(data.subjects):
-            fvals = [_fmt(v) for v in factors.values[i]]
-            for t in range(subject.visits.shape[0]):
-                writer.writerow([subject.subject_id, t, subject.label] + fvals
-                                + [_fmt(v) for v in subject.visits[t]])
+        # csv writes a Python float as repr(float), so no cell needs formatting.
+        for subject, fvals in zip(data.subjects, factors.values.tolist()):
+            for t, visit in enumerate(subject.visits.tolist()):
+                writer.writerow([subject.subject_id, t, subject.label] + fvals + visit)
 
 
 @contextlib.contextmanager

@@ -802,6 +802,27 @@ class TestExitPaths:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command, key, value", [
+        ("graph", "k", "0"), ("train", "k", "-5"), ("sweep", "k_grid", "0,5"),
+        ("graph", "seed", "-1"), ("train", "seed", "-1"), ("sweep", "seed", "-1"),
+        ("synth", "seed", "-1"),
+    ])
+    def test_k_and_seed_bounds_are_usage_errors_before_reading(self, tmp_path, capsys, source,
+                                                               command, key, value):
+        # As above: a cohort that does not exist would be exit 2 if it were read.
+        low, got = (0, "-1") if key == "seed" else (1, value.split(",")[0])
+        if source == "flag":
+            flags = [f"--{'k' if key == 'k_grid' else key}={value}"]
+        else:
+            (tmp_path / "bad.cfg").write_text(f"{key}={value}\n")
+            flags = ["--config", str(tmp_path / "bad.cfg")]
+        cohort = [] if command == "synth" else ["--cohort", str(tmp_path / "absent.csv")]
+        rc = main([command, *cohort, "--out", str(tmp_path / "out"), *flags])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {key} must be >= {low}, got {got}\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("argv", [["graph"], ["train", "--epochs", "1"]],
                              ids=["graph", "train"])
     @pytest.mark.parametrize("damage, insert, message", [
@@ -872,6 +893,63 @@ class TestMutatedCohort:
                                "--k", "5", "--m", "3"])
                 assert rc in (0, 2, 3), err.getvalue()
                 assert "Traceback" not in err.getvalue()
+
+
+# A valid config per command; epochs (a flag) and batch stay fixed, so no
+# mutation below scales the work.
+CONFIG_BASE = {"graph": ["k=5", "m=3", "seed=1"],
+               "train": ["k=5", "m=3", "folds=2", "seed=1", "batch=16"],
+               "sweep": ["k_grid=5", "c_grid=0.65", "m=3", "folds=2", "seed=1", "batch=16"]}
+CONFIG_KEYS = ["k", "m", "folds", "seed", "c", "lr_model", "lr_a", "jtt_lambda"]
+config_value = st.one_of(
+    st.sampled_from(["x1", "nan", "inf", "-inf", "-1", "-2.5", "0", "1e308", "9" * 30]),
+    st.integers(max_value=-1).map(str), st.integers(min_value=10 ** 6).map(str),
+    st.floats().map(repr), st.text(max_size=5))
+config_mutation = st.one_of(
+    st.tuples(st.sampled_from(["no-equals", "unknown-key", "duplicate"]), st.integers(0, 99)),
+    st.tuples(st.just("value"), st.integers(0, 99), st.sampled_from(CONFIG_KEYS), config_value))
+
+
+def mutate_config(command, mutations) -> bytes:
+    """`command`'s base config after each mutation in turn: an inserted line
+    without `=`, an unknown key, a duplicated line, or a key set to a value."""
+    lines = list(CONFIG_BASE[command])
+    for kind, at, *rest in mutations:
+        at %= len(lines) + 1
+        if kind == "value":
+            key, value = rest
+            if command == "sweep":
+                key = {"k": "k_grid", "c": "c_grid"}.get(key, key)
+            line = f"{key}={value}"
+        else:
+            line = {"no-equals": "k 5", "unknown-key": "frobnicate=1",
+                    "duplicate": lines[at % len(lines)]}[kind]
+        lines.insert(at, line)
+    return "\n".join(lines + [""]).encode()
+
+
+class TestMutatedConfig:
+    @settings(max_examples=10, deadline=None)
+    @given(mutations=st.lists(config_mutation, min_size=1, max_size=3),
+           bad_byte_at=st.none() | st.integers(0, 120))
+    def test_graph_train_and_sweep_exit_0_to_3(self, small_cohort, mutations, bad_byte_at):
+        """A malformed `--config` (a line without `=`, an unknown or repeated
+        key, text, NaN, inf, negative or huge values, or a byte that is not
+        UTF-8): each command exits 0 to 3 and never prints a traceback."""
+        for command in ("graph", "train", "sweep"):
+            raw = mutate_config(command, mutations)
+            if bad_byte_at is not None:
+                raw = raw[:bad_byte_at] + b"\xff" + raw[bad_byte_at:]
+            with tempfile.TemporaryDirectory() as tmp:
+                config = Path(tmp) / "run.cfg"
+                config.write_bytes(raw)
+                argv = [command, "--cohort", str(small_cohort), "--out", str(Path(tmp) / "out"),
+                        "--config", str(config)] + (["--epochs", "1"] if command != "graph" else [])
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    rc = main(argv)
+            assert rc in (0, 1, 2, 3), err.getvalue()
+            assert "Traceback" not in err.getvalue()
 
 
 class TestUsage:

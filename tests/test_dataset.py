@@ -1,5 +1,11 @@
+import csv
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specweight.dataset import (
     CohortDataset,
@@ -34,6 +40,30 @@ def test_write_is_deterministic(tmp_path, tiny_cohort):
     write_cohort_csv(a, data, factors)
     write_cohort_csv(b, data, factors)
     assert a.read_bytes() == b.read_bytes()
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -2.5e-310, 1e300, -1e300, 0.1])
+
+
+@settings(max_examples=30, deadline=None)
+@given(visits=st.lists(st.lists(finite_floats, min_size=2, max_size=2), min_size=1, max_size=3),
+       factor_values=st.lists(finite_floats, min_size=2, max_size=2))
+def test_every_written_cell_is_the_float_repr(visits, factor_values):
+    """Visit and factor cells, -0.0, subnormals and 1e300 included, are
+    written as repr(float(v))."""
+    data = CohortDataset((Subject("S0", np.array(visits), 1),))
+    factors = FactorTable(np.array([factor_values]), ("a", "b"))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cohort.csv"
+        write_cohort_csv(path, data, factors)
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))[1:]
+    assert len(rows) == len(visits)
+    for t, row in enumerate(rows):
+        assert row[:3] == ["S0", str(t), "1"]
+        assert row[3:5] == [repr(float(v)) for v in factors.values[0]]
+        assert row[5:] == [repr(float(v)) for v in data.subjects[0].visits[t]]
 
 
 def test_variable_length_sequences_roundtrip(tmp_path):
