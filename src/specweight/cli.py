@@ -50,7 +50,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_config_file(path) -> dict[str, str]:
-    out = {}
+    """The key=value pairs of a config file; a key given twice is a DataError."""
+    out, line_of = {}, {}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -61,8 +62,10 @@ def _read_config_file(path) -> dict[str, str]:
             continue
         if "=" not in line:
             raise DataError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in out:
+            raise DataError(f"{path}:{lineno}: key {key!r} is already set on line {line_of[key]}")
+        out[key], line_of[key] = value, lineno
     return out
 
 
@@ -372,3 +375,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

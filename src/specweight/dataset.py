@@ -23,6 +23,7 @@ import contextlib
 import csv
 import itertools
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -89,13 +90,21 @@ def write_cohort_csv(path, data: CohortDataset, factors: FactorTable) -> None:
     header = (["subject_id", "visit", "y"]
               + [f"f_{name}" for name in factors.factor_names]
               + [f"x_{j}" for j in range(data.feature_width)])
+    # writerow returns what the file's write returns: here the formatted line.
+    # Its "\n" terminator is what makes csv quote a field holding a newline.
+    line = csv.writer(SimpleNamespace(write=lambda text: text), lineterminator="\n").writerow
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        # csv writes a Python float as repr(float), so no cell needs formatting.
+        fh.write(line(header))
+        # One string per subject, byte-identical to a csv.writer row per
+        # visit: the id, label and factor cells go through csv once per
+        # subject, and a visit cell is str(float), which is the repr that
+        # csv writes. csv writes a lone empty field as "" but an empty
+        # first field of a longer row as nothing.
         for subject, fvals in zip(data.subjects, factors.values.tolist()):
-            for t, visit in enumerate(subject.visits.tolist()):
-                writer.writerow([subject.subject_id, t, subject.label] + fvals + visit)
+            sid = line([subject.subject_id])[:-1] if subject.subject_id != "" else ""
+            fixed = line([subject.label] + fvals)[:-1]
+            fh.write("".join(f"{sid},{t},{fixed},{','.join(map(str, visit))}\n"
+                             for t, visit in enumerate(subject.visits.tolist())))
 
 
 @contextlib.contextmanager

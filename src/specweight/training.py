@@ -26,6 +26,7 @@ Schemes:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -186,33 +187,40 @@ def _run_loop(data, cfg, train_rows, seed, model_factory, batch_weights, after_b
     shuffle = rng_for(seed, "shuffle")
     labels = data.labels
     history = TrainHistory()
-    history.initial_objective = _objective(predict(data, model, train_rows, cfg.batch_size),
-                                           labels[train_rows], batch_weights(train_rows))
+    # Overflow is caught by the checks on the objective, the activations and
+    # the final parameters, each of which raises NumericalError.
+    with np.errstate(over="ignore", invalid="ignore"):
+        history.initial_objective = _objective(predict(data, model, train_rows, cfg.batch_size),
+                                               labels[train_rows], batch_weights(train_rows))
 
-    for epoch in range(cfg.epochs):
-        order = shuffle.permutation(train_rows)
-        batch_objectives = []
-        for start in range(0, order.size, cfg.batch_size):
-            rows = order[start:start + cfg.batch_size]
-            b = rows.size
-            w = batch_weights(rows)
-            probs, cache = model.forward([data.subjects[i].visits for i in rows])
-            losses = bce_loss(probs, labels[rows])
-            grad = model.backward(cache, w * bce_grad_prob(probs, labels[rows]) / b)
-            model.set_flat_params(adam_step(opt, model.flat_params(), grad, cfg.lr_model))
-            if after_batch is not None:
-                after_batch(rows, losses)
-            batch_objectives.append((float(w @ losses) + negativity_penalty(w)) / b)
-        epoch_loss = float(np.mean(batch_objectives))
-        if not np.isfinite(epoch_loss):
-            raise NumericalError(f"non-finite objective at epoch {epoch}")
-        history.epoch_losses.append(epoch_loss)
+        for epoch in range(cfg.epochs):
+            order = shuffle.permutation(train_rows)
+            batch_objectives = []
+            for start in range(0, order.size, cfg.batch_size):
+                rows = order[start:start + cfg.batch_size]
+                b = rows.size
+                w = batch_weights(rows)
+                probs, cache = model.forward([data.subjects[i].visits for i in rows])
+                losses = bce_loss(probs, labels[rows])
+                objective = (float(w @ losses) + negativity_penalty(w)) / b
+                if not math.isfinite(objective):
+                    raise NumericalError(f"non-finite objective at epoch {epoch}")
+                batch_objectives.append(objective)
+                grad = model.backward(cache, w * bce_grad_prob(probs, labels[rows]) / b)
+                model.set_flat_params(adam_step(opt, model.flat_params(), grad, cfg.lr_model))
+                if after_batch is not None:
+                    after_batch(rows, losses)
+            # The mean of finite batch objectives can still overflow.
+            epoch_loss = float(np.mean(batch_objectives))
+            if not math.isfinite(epoch_loss):
+                raise NumericalError(f"non-finite objective at epoch {epoch}")
+            history.epoch_losses.append(epoch_loss)
 
-    if not np.all(np.isfinite(model.flat_params())):
-        raise NumericalError("non-finite model parameters after training")
-    probs = predict(data, model, np.arange(data.n_samples), cfg.batch_size)
-    history.final_objective = _objective(probs[train_rows], labels[train_rows],
-                                         batch_weights(train_rows))
+        if not np.all(np.isfinite(model.flat_params())):
+            raise NumericalError("non-finite model parameters after training")
+        probs = predict(data, model, np.arange(data.n_samples), cfg.batch_size)
+        history.final_objective = _objective(probs[train_rows], labels[train_rows],
+                                             batch_weights(train_rows))
     return model, history, probs
 
 

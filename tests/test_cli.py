@@ -135,6 +135,17 @@ class TestSynth:
         assert (a / "cohort.csv").read_bytes() == (b / "cohort.csv").read_bytes()
         assert (a / "groups.csv").read_bytes() == (b / "groups.csv").read_bytes()
 
+    @pytest.mark.parametrize("module", ["specweight", "specweight.cli"])
+    def test_python_dash_m_runs_the_cli(self, tmp_path, module):
+        flags = ["synth", "--n-subjects", "30", "--seed", "3", "--out"]
+        assert main(flags + [str(tmp_path / "direct")]) == 0
+        subprocess.run([sys.executable, "-m", module, *flags, str(tmp_path / "m")],
+                       env=dict(os.environ, PYTHONPATH=SRC), check=True, capture_output=True,
+                       timeout=120)
+        for name in ("cohort.csv", "groups.csv", "synth_summary.json"):
+            direct = (tmp_path / "direct" / name).read_bytes()
+            assert (tmp_path / "m" / name).read_bytes() == direct
+
     def test_invalid_spec_is_data_error(self, tmp_path, capsys):
         rc = main(["synth", "--out", str(tmp_path), "--flip-above", "0.9"])
         assert rc == 2
@@ -838,6 +849,24 @@ class TestExitPaths:
         proc = run_cli(*argv, "--cohort", cohort, "--out", tmp_path / "out", "--k", "5")
         assert_data_error(proc)
         assert f"cannot read {cohort}: " in proc.stderr and message in proc.stderr
+
+    @pytest.mark.parametrize("command", ["graph", "train", "sweep"])
+    def test_repeated_config_key_is_data_error(self, tmp_path, capsys, command):
+        # Read before the cohort, which does not exist.
+        config = tmp_path / "dup.cfg"
+        config.write_text("seed=1\nm=3\n# a comment\nm=50\n")
+        rc = main([command, "--cohort", str(tmp_path / "absent.csv"),
+                   "--out", str(tmp_path / "out"), "--config", str(config)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"data error: {config}:4: key 'm' is already set on line 2\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_overflowing_objective_fails_once_without_warnings(self, cohort_dir, tmp_path):
+        proc = run_cli("train", "--cohort", cohort_dir / "cohort.csv", "--out", tmp_path,
+                       "--c", "1e308", "--epochs", "1")
+        assert proc.returncode == 3
+        assert proc.stderr == "numerical failure: non-finite objective at epoch 0\n"
 
     @pytest.mark.parametrize("command", ["graph", "train", "sweep"])
     def test_undecodable_config_is_data_error(self, tmp_path, command):

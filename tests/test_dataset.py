@@ -66,6 +66,41 @@ def test_every_written_cell_is_the_float_repr(visits, factor_values):
         assert row[5:] == [repr(float(v)) for v in data.subjects[0].visits[t]]
 
 
+def reference_cohort_bytes(path, data, factors) -> bytes:
+    """The cohort file as a csv.writer row per visit writes it."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["subject_id", "visit", "y"]
+                        + [f"f_{name}" for name in factors.factor_names]
+                        + [f"x_{j}" for j in range(data.feature_width)])
+        for subject, fvals in zip(data.subjects, factors.values.tolist()):
+            for t, visit in enumerate(subject.visits.tolist()):
+                writer.writerow([subject.subject_id, t, subject.label] + fvals + visit)
+    return Path(path).read_bytes()
+
+
+@pytest.mark.parametrize("subject_id", ["", "a,b", 'q"q', " x", "x\ny"])
+def test_writer_bytes_match_a_csv_row_per_visit(tmp_path, subject_id):
+    """Ids that csv quotes or leaves empty, a numpy-integer label, and the
+    values -0.0, 5e-324, 1e16 and 1e300: the same bytes as csv.writer, and
+    read back bit-exactly."""
+    values = [-0.0, 5e-324, 1e16, 1e300]
+    data = CohortDataset((Subject(subject_id, np.array([values, values[::-1], [0.5] * 4]),
+                                  np.int64(1)),
+                          Subject("S1", np.array([values]), 0)))
+    factors = FactorTable(np.array([[1e16, -0.0], [5e-324, 1e300]]), ("a", "b"))
+    path = tmp_path / "cohort.csv"
+    write_cohort_csv(path, data, factors)
+    assert path.read_bytes() == reference_cohort_bytes(tmp_path / "ref.csv", data, factors)
+
+    data2, factors2 = read_cohort_csv(path)
+    assert data2.subject_ids == [subject_id, "S1"]
+    assert np.array_equal(data2.labels, [1, 0])
+    assert factors2.values.tobytes() == factors.values.tobytes()
+    for s1, s2 in zip(data.subjects, data2.subjects):
+        assert s2.visits.tobytes() == s1.visits.tobytes()
+
+
 def test_variable_length_sequences_roundtrip(tmp_path):
     subjects = (
         Subject("A", np.array([[1.0, 2.0]]), 0),
