@@ -39,6 +39,7 @@ from .training import (
     TrainConfig,
     adam_step,
     predict,
+    train,
     train_baseline_none,
     train_jtt,
     train_only_graph,
@@ -57,6 +58,6 @@ __all__ = [
     "grad_a", "laplacian", "mann_whitney_u", "median_split_from_arrays",
     "median_split_gap", "negativity_penalty", "pooled_analysis", "predict", "read_cohort_csv",
     "select_m_changepoint", "spectral_basis", "standardize", "stratified_kfold",
-    "sweep", "symmetric_eigen", "train_baseline_none", "train_jtt",
+    "sweep", "symmetric_eigen", "train", "train_baseline_none", "train_jtt",
     "train_only_graph", "train_spectral", "write_cohort_csv",
 ]

@@ -91,18 +91,19 @@ def write_cohort_csv(path, data: CohortDataset, factors: FactorTable) -> None:
               + [f"f_{name}" for name in factors.factor_names]
               + [f"x_{j}" for j in range(data.feature_width)])
     # writerow returns what the file's write returns: here the formatted line.
-    # Its "\n" terminator is what makes csv quote a field holding a newline.
-    line = csv.writer(SimpleNamespace(write=lambda text: text), lineterminator="\n").writerow
+    # Its "\r\n" terminator is what makes csv quote a field holding a carriage
+    # return or a newline; the file's lines end in "\n" alone.
+    line = csv.writer(SimpleNamespace(write=lambda text: text), lineterminator="\r\n").writerow
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(line(header))
+        fh.write(line(header)[:-2] + "\n")
         # One string per subject, byte-identical to a csv.writer row per
-        # visit: the id, label and factor cells go through csv once per
+        # visit with the terminator above: the id, label and factor cells go through csv once per
         # subject, and a visit cell is str(float), which is the repr that
         # csv writes. csv writes a lone empty field as "" but an empty
         # first field of a longer row as nothing.
         for subject, fvals in zip(data.subjects, factors.values.tolist()):
-            sid = line([subject.subject_id])[:-1] if subject.subject_id != "" else ""
-            fixed = line([subject.label] + fvals)[:-1]
+            sid = line([subject.subject_id])[:-2] if subject.subject_id != "" else ""
+            fixed = line([subject.label] + fvals)[:-2]
             fh.write("".join(f"{sid},{t},{fixed},{','.join(map(str, visit))}\n"
                              for t, visit in enumerate(subject.visits.tolist())))
 

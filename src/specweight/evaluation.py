@@ -213,15 +213,7 @@ def cross_validate(data: CohortDataset, factors: FactorTable | None, cfg: tr.Tra
         fold_cfg = replace(cfg, seed=derive_seed(cfg.seed, "fold", fold))
         split = (np.flatnonzero(folds != fold), np.flatnonzero(folds == fold))
 
-        if cfg.scheme == "spectral":
-            result = tr.train_spectral(data, basis, fold_cfg, split, model_factory)
-        elif cfg.scheme == "only_graph":
-            result = tr.train_only_graph(data, basis, fold_cfg, split, model_factory)
-        elif cfg.scheme == "jtt":
-            result = tr.train_jtt(data, fold_cfg, split, model_factory)
-        else:
-            result = tr.train_baseline_none(data, fold_cfg, split, model_factory)
-
+        result = tr.train(data, fold_cfg, split, basis, model_factory)
         probs.append(result.probs)
         weights.append(result.weights)
         models.append(result.model)

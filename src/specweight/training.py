@@ -1,33 +1,37 @@
-"""Weighted training of sequence classifiers, plus baseline weighting schemes.
+"""Weighted training of sequence classifiers under every weighting scheme.
 
-One mini-batch step runs one batched forward pass, computes the per-sample
-losses once and feeds two optimizers from that single backward pass: the
-model parameters move under the weighted loss gradient (weights treated as
-constants, one upstream value per sample) and the weight-field coefficients
-move under the loss-plus-hinge gradient (losses treated as constants).
-`adam_step` updates the optimizer moments in place and returns a new
-parameter vector, which the model copies into its flat parameters.
-Scoring outside the step goes through `predict`, which sorts the subjects
-by visit count and runs the model over chunks of `batch_size` of them, so
-each forward call runs only as many recurrent steps as its longest member.
-Each trained model makes one full-cohort pass at the end of its run;
-`TrainResult.probs` carries it, and the final objective, JTT stage one and
-the CV scoring pass all read it instead of scoring again. Test rows never
-enter a training batch, so trained parameters and inferred test weights are
-independent of test features and labels.
+`train` is the one training loop. One mini-batch step runs one batched
+forward pass, computes the per-sample losses once and feeds two optimizers
+from that single backward pass: the model parameters move under the
+weighted loss gradient (weights treated as constants, one upstream value per
+sample) and the weight-field coefficients move under the loss-plus-hinge
+gradient (losses treated as constants). `adam_step` updates the optimizer
+moments in place and returns a new parameter vector, which the model copies
+into its flat parameters. Scoring outside the step goes through `predict`,
+which sorts the subjects by visit count and runs the model over chunks of
+`batch_size` of them, so each forward call runs only as many recurrent steps
+as its longest member. Each trained model makes one full-cohort pass at the
+end of its run; `TrainResult.probs` carries it, and the final objective, JTT
+stage one and the CV scoring pass all read it instead of scoring again. Test
+rows never enter a training batch, so trained parameters and inferred test
+weights are independent of test features and labels.
 
-Schemes:
-    none        uniform unit weights
-    spectral    learnable weights c + E a (a starts at zero)
+Schemes (`TrainConfig.scheme`) choose only the weights and whether `a` learns:
+    none        unit weights
+    spectral    learnable weights c + E a; a starts at zero and takes an Adam
+                step after each model step, so lr_a = 0 is uniform weighting
+                by c
     only_graph  fixed weights c + E 1 (a pinned to ones, never updated)
-    jtt         two stage: unweighted run, then a fresh run up-weighting the
-                first run's training mistakes by a constant factor
+    jtt         two stages of the full epoch budget: an unweighted run, then
+                a fresh one (seed + 1) weighting the training rows that stage
+                one misclassified at threshold 0.5 by jtt_lambda and the rest
+                by 1; test rows get no weight (NaN)
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -173,15 +177,35 @@ def _objective(probs, labels, weights) -> float:
     return (float(weights @ losses) + negativity_penalty(weights)) / len(probs)
 
 
-def _run_loop(data, cfg, train_rows, seed, model_factory, batch_weights, after_batch=None):
-    """Shared mini-batch engine for every scheme.
+def train(data: CohortDataset, cfg: TrainConfig, split, basis: SpectralBasis | None = None,
+          model_factory=default_model_factory) -> TrainResult:
+    """Train one model under `cfg.scheme` on the training rows of `split`.
 
-    `batch_weights(rows)` supplies current per-sample weights for a batch;
-    `after_batch(rows, losses)` updates weight-field coefficients, if any.
-    Both epoch shuffling and model initialization draw from named substreams
-    of `seed` only, never from data values. Returns the model, its history
-    and the final model's probability for every subject.
+    Every scheme runs this one loop on the same weighted loss. `none` and
+    `jtt` use a fixed weight vector and never touch a weight field;
+    `spectral` and `only_graph` need a `basis` over every sample. Epoch
+    shuffling and model initialization draw from named substreams of the
+    seed only, never from data values.
     """
+    train_rows = _train_rows(data, split)
+    seed, fld, learn_a = cfg.seed, None, False
+    if cfg.scheme in ("spectral", "only_graph"):
+        if basis is None or basis.n_samples != data.n_samples:
+            raise ValueError("basis rows must cover every sample")
+        spectral = cfg.scheme == "spectral"
+        m = basis.m_count
+        fld = WeightField(cfg.centering_c, np.zeros(m) if spectral else np.ones(m), basis)
+        learn_a = spectral and cfg.lr_a != 0.0 and m != 0
+        opt_a = AdamState.zeros(m)
+    elif cfg.scheme == "jtt":
+        stage1 = train(data, replace(cfg, scheme="none"), split, model_factory=model_factory)
+        correct = (stage1.probs[train_rows] >= 0.5) == (data.labels[train_rows] == 1)
+        fixed = np.full(data.n_samples, np.nan)
+        fixed[train_rows] = np.where(correct, 1.0, cfg.jtt_lambda)
+        seed += 1
+    else:
+        fixed = np.ones(data.n_samples)
+
     model = model_factory(data.feature_width, rng_for(seed, "init"))
     opt = AdamState.zeros(model.n_params)
     shuffle = rng_for(seed, "shuffle")
@@ -190,8 +214,9 @@ def _run_loop(data, cfg, train_rows, seed, model_factory, batch_weights, after_b
     # Overflow is caught by the checks on the objective, the activations and
     # the final parameters, each of which raises NumericalError.
     with np.errstate(over="ignore", invalid="ignore"):
+        w = fixed[train_rows] if fld is None else fld.weights(train_rows)
         history.initial_objective = _objective(predict(data, model, train_rows, cfg.batch_size),
-                                               labels[train_rows], batch_weights(train_rows))
+                                               labels[train_rows], w)
 
         for epoch in range(cfg.epochs):
             order = shuffle.permutation(train_rows)
@@ -199,7 +224,7 @@ def _run_loop(data, cfg, train_rows, seed, model_factory, batch_weights, after_b
             for start in range(0, order.size, cfg.batch_size):
                 rows = order[start:start + cfg.batch_size]
                 b = rows.size
-                w = batch_weights(rows)
+                w = fixed[rows] if fld is None else fld.weights(rows)
                 probs, cache = model.forward([data.subjects[i].visits for i in rows])
                 losses = bce_loss(probs, labels[rows])
                 objective = (float(w @ losses) + negativity_penalty(w)) / b
@@ -208,8 +233,9 @@ def _run_loop(data, cfg, train_rows, seed, model_factory, batch_weights, after_b
                 batch_objectives.append(objective)
                 grad = model.backward(cache, w * bce_grad_prob(probs, labels[rows]) / b)
                 model.set_flat_params(adam_step(opt, model.flat_params(), grad, cfg.lr_model))
-                if after_batch is not None:
-                    after_batch(rows, losses)
+                if learn_a:
+                    g = grad_a(fld, losses, rows) / b
+                    fld.coeffs_a = adam_step(opt_a, fld.coeffs_a, g, cfg.lr_a)
             # The mean of finite batch objectives can still overflow.
             epoch_loss = float(np.mean(batch_objectives))
             if not math.isfinite(epoch_loss):
@@ -219,73 +245,28 @@ def _run_loop(data, cfg, train_rows, seed, model_factory, batch_weights, after_b
         if not np.all(np.isfinite(model.flat_params())):
             raise NumericalError("non-finite model parameters after training")
         probs = predict(data, model, np.arange(data.n_samples), cfg.batch_size)
-        history.final_objective = _objective(probs[train_rows], labels[train_rows],
-                                             batch_weights(train_rows))
-    return model, history, probs
+        w = fixed[train_rows] if fld is None else fld.weights(train_rows)
+        history.final_objective = _objective(probs[train_rows], labels[train_rows], w)
+    return TrainResult(model, fld, history, probs, fixed if fld is None else fld.weights())
 
+
+# The per-scheme entry points: each is `train` under its scheme.
 
 def train_spectral(data: CohortDataset, basis: SpectralBasis, cfg: TrainConfig, split,
                    model_factory=default_model_factory) -> TrainResult:
-    """Joint training of the model and the weight-field coefficients.
-
-    Coefficients start at zero, so epoch 0 begins from uniform weights equal
-    to the centering constant; with lr_a = 0 the whole run reduces exactly to
-    uniform weighting by c.
-    """
-    train_rows = _train_rows(data, split)
-    if basis.n_samples != data.n_samples:
-        raise ValueError("basis rows must cover every sample")
-    fld = WeightField.zeros(cfg.centering_c, basis)
-    opt_a = AdamState.zeros(basis.m_count)
-
-    def after_batch(rows, losses):
-        if cfg.lr_a == 0.0 or basis.m_count == 0:
-            return
-        g = grad_a(fld, losses, rows) / rows.size
-        fld.coeffs_a = adam_step(opt_a, fld.coeffs_a, g, cfg.lr_a)
-
-    model, history, probs = _run_loop(data, cfg, train_rows, cfg.seed, model_factory,
-                                      lambda rows: fld.weights(rows), after_batch)
-    return TrainResult(model, fld, history, probs, fld.weights())
+    return train(data, replace(cfg, scheme="spectral"), split, basis, model_factory)
 
 
 def train_baseline_none(data: CohortDataset, cfg: TrainConfig, split,
                         model_factory=default_model_factory) -> TrainResult:
-    """Unweighted baseline: unit weights, otherwise the identical loop."""
-    model, history, probs = _run_loop(data, cfg, _train_rows(data, split), cfg.seed,
-                                      model_factory, lambda rows: np.ones(rows.size))
-    return TrainResult(model, None, history, probs, np.ones(data.n_samples))
+    return train(data, replace(cfg, scheme="none"), split, None, model_factory)
 
 
 def train_only_graph(data: CohortDataset, basis: SpectralBasis, cfg: TrainConfig, split,
                      model_factory=default_model_factory) -> TrainResult:
-    """Graph-only weighting: a pinned to ones, weights fixed for the whole run."""
-    train_rows = _train_rows(data, split)
-    if basis.n_samples != data.n_samples:
-        raise ValueError("basis rows must cover every sample")
-    fld = WeightField(cfg.centering_c, np.ones(basis.m_count), basis)
-    model, history, probs = _run_loop(data, cfg, train_rows, cfg.seed, model_factory,
-                                      lambda rows: fld.weights(rows))
-    return TrainResult(model, fld, history, probs, fld.weights())
+    return train(data, replace(cfg, scheme="only_graph"), split, basis, model_factory)
 
 
 def train_jtt(data: CohortDataset, cfg: TrainConfig, split,
               model_factory=default_model_factory) -> TrainResult:
-    """Two-stage up-weighting of first-stage training mistakes.
-
-    Stage one trains unweighted. Stage two restarts from a fresh
-    initialization (seed + 1) with per-sample weights of 1 for samples the
-    first model classified correctly at threshold 0.5 and jtt_lambda for the
-    ones it missed. Both stages run the full epoch budget. Test rows get no
-    weight (NaN).
-    """
-    train_rows = _train_rows(data, split)
-    stage1 = train_baseline_none(data, cfg, split, model_factory)
-
-    weight_by_row = np.full(data.n_samples, np.nan)
-    correct = (stage1.probs[train_rows] >= 0.5) == (data.labels[train_rows] == 1)
-    weight_by_row[train_rows] = np.where(correct, 1.0, cfg.jtt_lambda)
-
-    model, history, probs = _run_loop(data, cfg, train_rows, cfg.seed + 1, model_factory,
-                                      lambda rows: weight_by_row[rows])
-    return TrainResult(model, None, history, probs, weight_by_row)
+    return train(data, replace(cfg, scheme="jtt"), split, None, model_factory)

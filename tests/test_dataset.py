@@ -1,4 +1,5 @@
 import csv
+import io
 import tempfile
 from pathlib import Path
 
@@ -67,19 +68,26 @@ def test_every_written_cell_is_the_float_repr(visits, factor_values):
 
 
 def reference_cohort_bytes(path, data, factors) -> bytes:
-    """The cohort file as a csv.writer row per visit writes it."""
+    """The cohort file as a csv.writer row per visit writes it, quoting a
+    field that holds a carriage return or a newline, each line ending in "\n"."""
+    rows = [["subject_id", "visit", "y"]
+            + [f"f_{name}" for name in factors.factor_names]
+            + [f"x_{j}" for j in range(data.feature_width)]]
+    for subject, fvals in zip(data.subjects, factors.values.tolist()):
+        for t, visit in enumerate(subject.visits.tolist()):
+            rows.append([subject.subject_id, t, subject.label] + fvals + visit)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["subject_id", "visit", "y"]
-                        + [f"f_{name}" for name in factors.factor_names]
-                        + [f"x_{j}" for j in range(data.feature_width)])
-        for subject, fvals in zip(data.subjects, factors.values.tolist()):
-            for t, visit in enumerate(subject.visits.tolist()):
-                writer.writerow([subject.subject_id, t, subject.label] + fvals + visit)
+        for row in rows:
+            buf.seek(0)
+            buf.truncate()
+            writer.writerow(row)
+            fh.write(buf.getvalue()[:-2] + "\n")
     return Path(path).read_bytes()
 
 
-@pytest.mark.parametrize("subject_id", ["", "a,b", 'q"q', " x", "x\ny"])
+@pytest.mark.parametrize("subject_id", ["", "a,b", 'q"q', " x", "x\ny", "x\ry"])
 def test_writer_bytes_match_a_csv_row_per_visit(tmp_path, subject_id):
     """Ids that csv quotes or leaves empty, a numpy-integer label, and the
     values -0.0, 5e-324, 1e16 and 1e300: the same bytes as csv.writer, and

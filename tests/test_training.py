@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import logistic_factory, small_gru_factory
+from specweight import training
 from specweight.errors import NumericalError
 from specweight.factor_graph import SpectralBasis, basis_from_factors
 from specweight.predictor import bce_loss
@@ -11,12 +12,13 @@ from specweight.training import (
     TrainConfig,
     adam_step,
     predict,
+    train,
     train_baseline_none,
     train_jtt,
     train_only_graph,
     train_spectral,
 )
-from specweight.weight_field import negativity_penalty
+from specweight.weight_field import WeightField, negativity_penalty
 
 
 def half_split(n):
@@ -244,16 +246,6 @@ class TestSpectral:
                            model_factory=lambda fw, rng: PoisonedModel(fw, rng))
 
 
-def train_scheme(scheme, data, basis, cfg, split, model_factory):
-    if scheme == "spectral":
-        return train_spectral(data, basis, cfg, split, model_factory)
-    if scheme == "only_graph":
-        return train_only_graph(data, basis, cfg, split, model_factory)
-    if scheme == "jtt":
-        return train_jtt(data, cfg, split, model_factory)
-    return train_baseline_none(data, cfg, split, model_factory)
-
-
 SCHEMES = ["none", "spectral", "only_graph", "jtt"]
 
 
@@ -269,15 +261,21 @@ class TestTrainResult:
             split = (train_rows, test_rows[1:])
         cfg = TrainConfig(scheme=scheme, epochs=1, batch_size=16, seed=40)
         with pytest.raises(ValueError, match="split must partition the sample indices"):
-            train_scheme(scheme, data, basis, cfg, split, logistic_factory)
+            train(data, cfg, split, basis, logistic_factory)
+
+    @pytest.mark.parametrize("scheme", ["spectral", "only_graph"])
+    def test_graph_schemes_need_a_basis(self, cohort_and_basis, scheme):
+        data, _, _ = cohort_and_basis
+        cfg = TrainConfig(scheme=scheme, epochs=1, batch_size=16, seed=42)
+        with pytest.raises(ValueError, match="basis rows must cover every sample"):
+            train(data, cfg, half_split(data.n_samples), None, logistic_factory)
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_one_weight_per_sample(self, cohort_and_basis, scheme):
         data, _, basis = cohort_and_basis
         train_rows, test_rows = half_split(data.n_samples)
         cfg = TrainConfig(scheme=scheme, epochs=1, lr_a=1e-3, batch_size=16, seed=41)
-        result = train_scheme(scheme, data, basis, cfg, (train_rows, test_rows),
-                              logistic_factory)
+        result = train(data, cfg, (train_rows, test_rows), basis, logistic_factory)
         assert result.weights.shape == (data.n_samples,)
         if scheme == "none":
             assert np.all(result.weights == 1.0)
@@ -286,6 +284,21 @@ class TestTrainResult:
             assert np.all(np.isnan(result.weights[test_rows]))
         else:
             assert np.array_equal(result.weights, result.weight_field.weights())
+
+    @pytest.mark.parametrize("scheme, lr_a", [("none", 1e-3), ("jtt", 1e-3), ("spectral", 0.0)])
+    def test_weight_field_bypass(self, cohort_and_basis, monkeypatch, scheme, lr_a):
+        """`none` and `jtt` never reach the weight field, and `spectral` at
+        lr_a = 0 never computes a coefficient gradient."""
+        def forbidden(*args, **kwargs):
+            raise AssertionError("weight field called")
+
+        data, _, basis = cohort_and_basis
+        monkeypatch.setattr(training, "grad_a", forbidden)
+        if scheme != "spectral":
+            monkeypatch.setattr(WeightField, "weights", forbidden)
+        cfg = TrainConfig(scheme=scheme, epochs=2, lr_a=lr_a, batch_size=16, seed=43)
+        result = train(data, cfg, half_split(data.n_samples), basis, logistic_factory)
+        assert len(result.history.epoch_losses) == 2
 
 
 class TestFullCohortPass:
