@@ -6,6 +6,18 @@ squared-distance edge weights, and the low-frequency eigenvectors of the
 unnormalized graph Laplacian become the basis in which per-sample weights are
 later parameterized. The graph covers training and testing samples alike; the
 construction never looks at model inputs or labels.
+
+Memory: `build_graph` holds at most two n x n float arrays, the squared
+distances and one work buffer that is partitioned for the k-th distance and
+then becomes the adjacency, plus one (rows, n, n_factors) block of
+differences and n x n boolean masks. `laplacian` allocates only the array it
+returns. Every fresh page of an array faults on first touch; on a 2-vCPU
+host those faults cost more, at n = 400, than the arithmetic done on the
+array. The squared distances stay on one
+einsum call per row block because einsum does not sum factors left to right
+(with 3 factors it adds (0 + 2) + 1): a column-by-column sum or a Gram-matrix
+formula changes their bits, and with them the adjacency and every output
+downstream.
 """
 
 from __future__ import annotations
@@ -19,6 +31,7 @@ from .linalg import EigenDecomposition, fix_column_signs, symmetric_eigen
 
 NULL_SPACE_TOL = 1e-8
 M_SELECT_CAP = 50
+_ROW_BLOCK = 64  # rows of d2 per (rows, n, n_factors) difference block
 
 
 @dataclass(frozen=True)
@@ -127,29 +140,46 @@ def build_graph(factors: FactorTable, k: int) -> FactorGraph:
     if not 1 <= k < n:
         raise DataError(f"k_neighbors must be in [1, {n - 1}], got {k}")
     x = factors.values
-    diff = x[:, None, :] - x[None, :, :]
-    d2 = np.einsum("ijk,ijk->ij", diff, diff)
+    d2 = np.empty((n, n))
+    for start in range(0, n, _ROW_BLOCK):
+        diff = x[start:start + _ROW_BLOCK, None, :] - x[None, :, :]
+        np.einsum("ijk,ijk->ij", diff, diff, out=d2[start:start + _ROW_BLOCK])
+    del diff
+    np.fill_diagonal(d2, np.inf)
 
-    ranked = d2.copy()
-    np.fill_diagonal(ranked, np.inf)
     # The k nearest of each row, as a stable argsort would rank them: every
     # entry below the k-th smallest distance, then the entries equal to it in
-    # index order until the row has k.
-    kth = np.partition(ranked, k - 1, axis=1)[:, k - 1:k]
-    below = ranked < kth
-    tied = ranked == kth
-    room = k - below.sum(axis=1, keepdims=True)
-    neighbor_of = below | (tied & (np.cumsum(tied, axis=1) <= room))
+    # index order until the row has k. Only rows with more than k entries at
+    # or below the k-th smallest have ties to break.
+    work = d2.copy()
+    work.partition(k - 1, axis=1)
+    kth = work[:, k - 1:k].copy()
+    neighbor_of = d2 <= kth
+    crowded = np.flatnonzero(neighbor_of.sum(axis=1) > k)
+    if crowded.size:
+        ranked, cut = d2[crowded], kth[crowded]
+        below = ranked < cut
+        tied = ranked == cut
+        room = k - below.sum(axis=1, keepdims=True)
+        neighbor_of[crowded] = below | (tied & (np.cumsum(tied, axis=1) <= room))
+    neighbor_of |= neighbor_of.T
 
-    linked = neighbor_of | neighbor_of.T
-    adjacency = np.where(linked, 1.0 / (d2 + 1.0), 0.0)
-    np.fill_diagonal(adjacency, 0.0)
+    # The diagonal is inf, so it weighs 1 / inf = 0 whatever the mask says.
+    adjacency = np.add(d2, 1.0, out=work)
+    np.divide(1.0, adjacency, out=adjacency)
+    adjacency *= neighbor_of
     return FactorGraph(adjacency, k)
 
 
 def laplacian(g: FactorGraph) -> np.ndarray:
-    """Unnormalized Laplacian L = Deg - A (symmetric PSD, L @ 1 = 0)."""
-    return np.diag(g.degree) - g.adjacency
+    """Unnormalized Laplacian L = Deg - A (symmetric PSD, L @ 1 = 0).
+
+    Off the diagonal, 0.0 - a is +0.0 where a is 0; np.negative would write
+    -0.0 there.
+    """
+    lap = np.subtract(0.0, g.adjacency)
+    np.fill_diagonal(lap, g.degree)
+    return lap
 
 
 def connected_components(adjacency: np.ndarray) -> np.ndarray:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -161,6 +163,27 @@ class TestBuildGraph:
         got = build_graph(t, k).adjacency
         assert got.tobytes() == self.argsort_adjacency(t, k).tobytes()
 
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([63, 64, 65, 128, 129, 150]) | st.integers(2, 150),
+           st.integers(3, 6), st.booleans(), st.floats(0.0, 1.0))
+    def test_matches_stable_argsort_across_row_blocks(self, seed, n, f, ties, where):
+        """Tables longer than one distance row block, some ending in a partial
+        block, with 3-6 columns, where einsum's summation order matters: the
+        adjacency is bit-identical to the full-einsum reference, and the
+        Laplacian to Deg - A with no -0.0 off the diagonal."""
+        rng = np.random.default_rng(seed)
+        if ties:
+            t = table(rng.integers(-2, 3, size=(n, f)))
+        else:
+            t = standardize(table(rng.normal(size=(n, f))))
+        k = min(max(1, round(where * (n - 1))), n - 1)
+        g = build_graph(t, k)
+        assert g.adjacency.tobytes() == self.argsort_adjacency(t, k).tobytes()
+        lap = laplacian(g)
+        assert lap.tobytes() == (np.diag(g.degree) - g.adjacency).tobytes()
+        assert not np.signbit(lap[lap == 0.0]).any()
+
 
 class TestLaplacian:
     def test_two_node(self):
@@ -176,6 +199,45 @@ class TestLaplacian:
         lap = laplacian(build_graph(table(rng.normal(size=(20, 3))), k=4))
         assert np.max(np.abs(lap.sum(axis=1))) < 1e-12
         assert np.min(symmetric_eigen(lap).eigenvalues) > -1e-10
+
+
+class TestPeakMemory:
+    """Peak traced bytes of each step of graph -> Laplacian -> eigensolve on
+    400 samples and 3 factors, in units of one n x n float64 array.
+    tracemalloc sees numpy's array buffers but not LAPACK's workspace."""
+
+    n = 400
+
+    @pytest.fixture(scope="class")
+    def chain(self):
+        rng = np.random.default_rng(5)
+        t = standardize(table(rng.normal(size=(self.n, 3))))
+        g = build_graph(t, 50)
+        return t, g, laplacian(g)
+
+    def peak(self, fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1] / (8 * self.n ** 2)
+        finally:
+            tracemalloc.stop()
+
+    def test_build_graph_at_most_three_arrays(self, chain):
+        # d2, the work buffer that becomes the adjacency, one row block of
+        # differences and the boolean masks
+        assert self.peak(lambda: build_graph(chain[0], 50)) <= 3.0
+
+    def test_laplacian_one_array(self, chain):
+        assert self.peak(lambda: laplacian(chain[1])) <= 1.1
+
+    def test_eigenvalues_only_no_float_copy(self, chain):
+        assert self.peak(lambda: symmetric_eigen(chain[2], vectors=False)) <= 0.5
+
+    def test_eigenvectors_signed_in_place(self, chain):
+        # LAPACK's output and one |v| for the sign rule; a separately signed
+        # copy of the vectors would add a third array
+        assert self.peak(lambda: symmetric_eigen(chain[2])) <= 2.5
 
 
 class TestSpectralBasis:

@@ -218,6 +218,13 @@ class TestSignConvention:
             lead = np.argmax(np.abs(fixed[:, j]))
             assert fixed[lead, j] > 0
 
+    def test_leaves_argument_unchanged(self):
+        v = np.array([[0.8, -0.3], [-0.6, -0.7]])
+        before = v.copy()
+        fixed = fix_column_signs(v)
+        assert np.array_equal(v, before)
+        assert fixed is not v and np.array_equal(fixed, [[0.8, 0.3], [-0.6, 0.7]])
+
     def test_tie_breaks_to_lowest_index(self):
         v = np.array([[-0.5], [0.5]])
         fixed = fix_column_signs(v)
