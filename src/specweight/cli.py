@@ -8,8 +8,8 @@ Settings are dataclass fields (`SynthSpec`'s for synth, `TrainConfig`'s for
 graph, train and sweep), renamed by `_ALIASES`, plus the CLI-only `folds`,
 `k_grid` and `c_grid`. A flat key=value config file (# comments allowed) sets
 them by key, and the flag `--<key>` overrides it; sweep's `--k` and `--c` set
-`k_grid` and `c_grid`. graph takes `seed` only so that train config files
-work for it too: it draws no random numbers.
+`k_grid` and `c_grid`. graph takes only `k`, `m` and `seed`, and `seed`
+changes nothing: graph draws no random numbers.
 """
 
 from __future__ import annotations
@@ -26,10 +26,11 @@ import numpy as np
 
 from . import evaluation as ev
 from . import training as tr
-from .dataset import read_cohort_csv, read_factor_table, write_cohort_csv, write_groups_csv
+from .dataset import (read_cohort_csv, read_factor_table, write_cohort_csv, write_csv,
+                      write_groups_csv)
 from .errors import DataError, NumericalError
 from .factor_graph import basis_from_factors
-from .runio import _jsonify, _write_csv, _write_json, load_run, save_run
+from .runio import jsonify, load_run, save_run, write_json
 from .synth import SynthSpec, describe, generate
 
 EXIT_OK = 0
@@ -155,6 +156,7 @@ def _effective(args, settings: dict) -> dict:
 
 
 def _add_settings(parser, settings: dict, helps=None):
+    parser.add_argument("--config", help="key=value settings file")
     for key, (_, cast) in settings.items():
         parser.add_argument(_flag(key), dest=key, type=cast, help=(helps or {}).get(key),
                             choices=tr.SCHEMES if key == "scheme" else None)
@@ -174,7 +176,7 @@ def _train_settings() -> dict:
     batch, where run_summary.json's config has always listed it."""
     items = list(_settings(tr.TrainConfig).items())
     at = [key for key, _ in items].index("batch") + 1
-    return dict(items[:at] + [("folds", (5, int))] + items[at:])
+    return dict(items[:at] + [("folds", (ev.DEFAULT_FOLDS, int))] + items[at:])
 
 
 _SYNTH = _settings(SynthSpec)
@@ -193,31 +195,30 @@ def cmd_synth(args) -> int:
     write_groups_csv(out / "groups.csv", data.subject_ids, groups)
     summary = describe(data, factors)
     summary["low_noise_fraction"] = float(np.mean(groups == "low"))
-    _write_json(out / "synth_summary.json", summary)
-    print(json.dumps(_jsonify(summary), indent=2))
+    write_json(out / "synth_summary.json", summary)
+    print(json.dumps(jsonify(summary), indent=2))
     return EXIT_OK
 
 
 def cmd_graph(args) -> int:
     cfg = _effective(args, _GRAPH)
     subject_ids, factors = read_factor_table(args.cohort)
-    m = cfg["m"]
     # Without --dump-graph no eigenvector is written, so none is computed.
-    basis, info = basis_from_factors(factors, cfg["k"], m, vectors=args.dump_graph)
+    basis, info = basis_from_factors(factors, cfg["k"], cfg["m"], vectors=args.dump_graph)
     out = _out_dir(args.out)
 
-    _write_csv(out / "eigenspectrum.csv", ["rank", "eigenvalue"],
-               enumerate(info["eigenvalues"].tolist()))
+    write_csv(out / "eigenspectrum.csv", ["rank", "eigenvalue"],
+              enumerate(info["eigenvalues"].tolist()))
     summary = {
         "n_samples": factors.n_samples,
         "k_neighbors": cfg["k"],
-        "m_requested": m,
+        "m_requested": cfg["m"],
         "m_used": info["m_used"],
         "n_null_eigenvalues": info["n_null"],
         "n_components": info["n_components"],
         "basis_eigenvalues": list(info["basis_eigenvalues"]),
     }
-    _write_json(out / "graph_summary.json", summary)
+    write_json(out / "graph_summary.json", summary)
     n_comp, n_null = info["n_components"], info["n_null"]
     if max(n_comp, n_null) > 1 or n_comp != n_null:
         mismatch = "" if n_comp == n_null else f" but {n_null} null Laplacian eigenvalues"
@@ -225,11 +226,11 @@ def cmd_graph(args) -> int:
               file=sys.stderr)
     if args.dump_graph:  # csv writes each Python float as repr(float)
         header = [f"c{j}" for j in range(factors.n_samples)]
-        _write_csv(out / "adjacency.csv", header, info["graph"].adjacency.tolist())
-        _write_csv(out / "laplacian.csv", header, info["laplacian"].tolist())
-        _write_csv(out / "basis.csv", ["subject_id"] + [f"e{j}" for j in range(basis.m_count)],
-                   [[sid] + row for sid, row in zip(subject_ids, basis.basis.tolist())])
-    print(json.dumps(_jsonify(summary), indent=2))
+        write_csv(out / "adjacency.csv", header, info["graph"].adjacency.tolist())
+        write_csv(out / "laplacian.csv", header, info["laplacian"].tolist())
+        write_csv(out / "basis.csv", ["subject_id"] + [f"e{j}" for j in range(basis.m_count)],
+                  [[sid] + row for sid, row in zip(subject_ids, basis.basis.tolist())])
+    print(json.dumps(jsonify(summary), indent=2))
     return EXIT_OK
 
 
@@ -256,9 +257,9 @@ def cmd_report(args) -> int:
 
     out = _out_dir(args.out) if args.out else run_dir
     for table in tables:
-        _write_csv(out / f"subcohorts_{table.factor}.csv", ["group", "n", "mean_weight", "bacc"],
-                   [[g.label, g.n, g.mean_weight, "" if g.bacc is None else g.bacc]
-                    for g in table.groups])
+        write_csv(out / f"subcohorts_{table.factor}.csv", ["group", "n", "mean_weight", "bacc"],
+                  [[g.label, g.n, g.mean_weight, "" if g.bacc is None else g.bacc]
+                   for g in table.groups])
     subcohorts = {t.factor: {"groups": [asdict(g) for g in t.groups],
                              "pairwise": [asdict(p) for p in t.pairwise]} for t in tables}
 
@@ -277,8 +278,8 @@ def cmd_report(args) -> int:
         "median_split": asdict(gap),
         "subcohorts": subcohorts,
     }
-    _write_json(out / "report.json", report)
-    print(json.dumps(_jsonify(report["overall"]), indent=2))
+    write_json(out / "report.json", report)
+    print(json.dumps(jsonify(report["overall"]), indent=2))
     return EXIT_OK
 
 
@@ -293,13 +294,13 @@ def cmd_sweep(args) -> int:
     data, factors = read_cohort_csv(args.cohort)
     cells = ev.sweep(data, factors, base_cfg, k_values, c_values, n_folds=cfg["folds"])
     out = _out_dir(args.out)
-    _write_csv(out / "sweep_grid.csv",
-               ["k", "c", "seed", "gap_points", "gap_percent",
-                "bacc_high", "bacc_low", "overall_bacc", "degenerate"],
-               [[cell.k, cell.c, cell.seed, cell.gap_points, cell.gap_percent,
-                 "" if math.isnan(cell.bacc_high) else cell.bacc_high,
-                 "" if math.isnan(cell.bacc_low) else cell.bacc_low,
-                 cell.overall_bacc, int(cell.degenerate)] for cell in cells])
+    write_csv(out / "sweep_grid.csv",
+              ["k", "c", "seed", "gap_points", "gap_percent",
+               "bacc_high", "bacc_low", "overall_bacc", "degenerate"],
+              [[cell.k, cell.c, cell.seed, cell.gap_points, cell.gap_percent,
+                "" if math.isnan(cell.bacc_high) else cell.bacc_high,
+                "" if math.isnan(cell.bacc_low) else cell.bacc_low,
+                cell.overall_bacc, int(cell.degenerate)] for cell in cells])
     print(f"wrote {len(cells)} sweep cells to {out / 'sweep_grid.csv'}")
     return EXIT_OK
 
@@ -314,24 +315,21 @@ def build_parser() -> _Parser:
 
     p_synth = sub.add_parser("synth", help="generate a synthetic cohort CSV")
     p_synth.add_argument("--out", required=True)
-    p_synth.add_argument("--config", help="key=value spec file")
     _add_settings(p_synth, _SYNTH)
     p_synth.set_defaults(func=cmd_synth)
 
     p_graph = sub.add_parser("graph", help="build the factor graph and its basis")
     p_graph.add_argument("--cohort", required=True)
     p_graph.add_argument("--out", required=True)
-    p_graph.add_argument("--config")
     _add_settings(p_graph, _GRAPH, {
-        "seed": "accepted so that train config files also work here; graph draws "
-                "no random numbers, so the seed does not change its output"})
+        "seed": "accepted, but graph draws no random numbers, so the seed does not "
+                "change its output"})
     p_graph.add_argument("--dump-graph", action="store_true")
     p_graph.set_defaults(func=cmd_graph)
 
     p_train = sub.add_parser("train", help="cross-validated weighted training")
     p_train.add_argument("--cohort", required=True)
     p_train.add_argument("--out", required=True)
-    p_train.add_argument("--config")
     _add_settings(p_train, _TRAIN)
     p_train.set_defaults(func=cmd_train)
 
@@ -343,7 +341,6 @@ def build_parser() -> _Parser:
     p_sweep = sub.add_parser("sweep", help="neighbor/centering grid of gap metrics")
     p_sweep.add_argument("--cohort", required=True)
     p_sweep.add_argument("--out", required=True)
-    p_sweep.add_argument("--config")
     _add_settings(p_sweep, _SWEEP, {"k_grid": "comma-separated K values (config key k_grid)",
                                     "c_grid": "comma-separated c values (config key c_grid)"})
     p_sweep.set_defaults(func=cmd_sweep)

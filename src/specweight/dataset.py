@@ -14,7 +14,8 @@ are never part of the model input.
 `read_factor_table` runs the same subject-block walk and checks as
 `read_cohort_csv` but never converts feature cells, so `specweight graph`,
 which uses only the factors, accepts a cohort whose x_* cells are not finite
-numbers.
+numbers. Every other CSV table (run files, groups.csv, graph and report
+outputs) is written by `write_csv`; `read_table` reads those read back.
 """
 
 from __future__ import annotations
@@ -110,13 +111,13 @@ def write_cohort_csv(path, data: CohortDataset, factors: FactorTable) -> None:
 
 @contextlib.contextmanager
 def _open_for_reading(path):
-    """`path` open as UTF-8 text for a CSV reader; a byte that is not UTF-8
-    or a field over csv's size limit, met anywhere in the `with` block, is a
-    DataError naming the file."""
+    """`path` open as UTF-8 text for a CSV reader; a file that cannot be
+    opened, a byte that is not UTF-8 or a field over csv's size limit, met
+    anywhere in the `with` block, is a DataError naming the file."""
     try:
         with open(path, "r", newline="", encoding="utf-8") as fh:
             yield fh
-    except (UnicodeDecodeError, csv.Error) as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
 
 
@@ -230,19 +231,66 @@ def read_factor_table(path) -> tuple[list[str], FactorTable]:
     return subject_ids, _factor_table(path, factor_rows, factor_names)
 
 
-def write_groups_csv(path, subject_ids, groups) -> None:
-    """Ground-truth sidecar: subject_id, noise_group."""
+def write_csv(path, header, rows) -> None:
+    """Write a CSV table other than the cohort: UTF-8, lines ending in "\\n",
+    each Python float as repr(float), so a round trip keeps every bit."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["subject_id", "noise_group"])
-        for sid, grp in zip(subject_ids, groups):
-            writer.writerow([sid, grp])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
-def read_groups_csv(path) -> dict[str, str]:
+def read_table(path, casts_for) -> tuple[list[str], list[list]]:
+    """(header, columns) of a CSV table other than the cohort, read in one
+    pass. `casts_for(header)` returns one cast per column, or raises
+    ValueError for a header it rejects. A rejected header, a row with another
+    field count or a field whose cast raises ValueError is a DataError naming
+    the file and, for a row, its line."""
     with _open_for_reading(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header != ["subject_id", "noise_group"]:
-            raise DataError(f"{path}: expected header subject_id,noise_group")
-        return {row[0]: row[1] for row in reader}
+        try:
+            casts = casts_for(header)
+        except ValueError as exc:
+            raise DataError(f"{path}: {exc}") from None
+        rows = []
+        for row in reader:
+            try:
+                if len(row) != len(casts):
+                    raise ValueError(f"expected {len(casts)} fields, got {len(row)}")
+                rows.append([cast(v) for cast, v in zip(casts, row)])
+            except ValueError as exc:
+                raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+    return header, [list(column) for column in zip(*rows)] if rows else [[] for _ in casts]
+
+
+def fixed_header(expected, casts):
+    """A `read_table` header rule that accepts the header `expected` alone."""
+    def casts_for(header):
+        if header != expected:
+            raise ValueError(f"expected header {','.join(expected)}")
+        return casts
+    return casts_for
+
+
+def distinct():
+    """A fresh `read_table` cast that rejects a subject id it has met before."""
+    seen = set()
+
+    def cast(sid):
+        if sid in seen:
+            raise ValueError(f"duplicate subject {sid!r}")
+        seen.add(sid)
+        return sid
+    return cast
+
+
+def write_groups_csv(path, subject_ids, groups) -> None:
+    """Ground-truth sidecar: subject_id, noise_group."""
+    write_csv(path, ["subject_id", "noise_group"], zip(subject_ids, groups))
+
+
+def read_groups_csv(path) -> dict[str, str]:
+    """Noise group by subject id; read_table's checks, and no subject twice."""
+    _, columns = read_table(path, fixed_header(["subject_id", "noise_group"], [distinct(), str]))
+    return dict(zip(*columns))

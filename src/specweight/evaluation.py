@@ -19,6 +19,7 @@ from .errors import DataError
 from .factor_graph import FactorTable, SpectralBasis, basis_from_factors
 from .seeding import derive_seed
 
+DEFAULT_FOLDS = 5
 DEFAULT_K_GRID = (10, 30, 50, 75, 100)
 DEFAULT_C_GRID = (0.5, 0.65, 0.7, 0.75, 1.0)
 # Eigensolver output is bitwise reproducible only at a fixed BLAS thread
@@ -65,7 +66,7 @@ def f1_score(labels, predictions) -> float:
     return 2.0 * tp / denom if denom > 0 else 0.0
 
 
-def stratified_kfold(labels, k: int = 5, seed: int = 0) -> np.ndarray:
+def stratified_kfold(labels, k: int = DEFAULT_FOLDS, seed: int = 0) -> np.ndarray:
     """Fold index per sample with per-class proportions balanced within one.
 
     Samples are subjects, so the assignment is subject-level by construction.
@@ -188,7 +189,7 @@ def format_mean_std(values) -> str:
 
 
 def cross_validate(data: CohortDataset, factors: FactorTable | None, cfg: tr.TrainConfig,
-                   n_folds: int = 5, model_factory=tr.default_model_factory,
+                   n_folds: int = DEFAULT_FOLDS, model_factory=tr.default_model_factory,
                    basis: SpectralBasis | None = None) -> CVRun:
     """Train and score one scheme across stratified folds.
 
@@ -221,8 +222,7 @@ def cross_validate(data: CohortDataset, factors: FactorTable | None, cfg: tr.Tra
             "fold": fold,
             "scheme": cfg.scheme,
             "seed": fold_cfg.seed,
-            "config": {k: (v if not isinstance(v, (np.integer, np.floating)) else v.item())
-                       for k, v in vars(cfg).items()},
+            "config": dict(vars(cfg)),
             "initial_objective": result.history.initial_objective,
             "final_objective": result.history.final_objective,
             "epoch_losses": result.history.epoch_losses,
@@ -384,7 +384,7 @@ class SweepCell:
 
 def sweep(data: CohortDataset, factors: FactorTable, cfg: tr.TrainConfig,
           k_values=DEFAULT_K_GRID, c_values=DEFAULT_C_GRID,
-          n_folds: int = 5, model_factory=tr.default_model_factory) -> list[SweepCell]:
+          n_folds: int = DEFAULT_FOLDS, model_factory=tr.default_model_factory) -> list[SweepCell]:
     """Full-factorial neighbor-count x centering grid of median-split gaps.
 
     Cells run the spectral scheme independently, each under seed + cell index

@@ -282,22 +282,16 @@ def basis_from_factors(raw: FactorTable, k: int, m: int | str = "auto",
     labels = connected_components(graph.adjacency)
     lap = laplacian(graph)
     eig = symmetric_eigen(lap, vectors=vectors)
-    n_null = int(np.sum(eig.eigenvalues <= NULL_SPACE_TOL))
-    if vectors:
-        basis = spectral_basis(eig, labels, m)
-        m_used, basis_eigenvalues = basis.m_count, basis.eigenvalues
-    else:
-        basis = None
-        nonnull = eig.eigenvalues[eig.eigenvalues > NULL_SPACE_TOL]
-        m_used = choose_m(nonnull, m)
-        basis_eigenvalues = nonnull[:m_used]
+    nonnull = eig.eigenvalues[eig.eigenvalues > NULL_SPACE_TOL]
+    m_used = choose_m(nonnull, m)
+    basis = spectral_basis(eig, labels, m_used) if vectors else None
     info = {
         "graph": graph,
         "eigenvalues": eig.eigenvalues,
-        "n_null": n_null,
+        "n_null": int(np.sum(eig.eigenvalues <= NULL_SPACE_TOL)),
         "n_components": int(labels.max()) + 1,
         "m_used": m_used,
-        "basis_eigenvalues": basis_eigenvalues,
+        "basis_eigenvalues": nonnull[:m_used],
         "laplacian": lap,
     }
     return basis, info

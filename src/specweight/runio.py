@@ -5,13 +5,13 @@ every bit. The README's "Run directory layout" describes the files.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from pathlib import Path
 
 import numpy as np
 
+from .dataset import distinct, fixed_header, read_table, write_csv
 from .errors import DataError
 from .evaluation import CVRun
 from .predictor import RecurrentClassifier, save_checkpoint
@@ -20,11 +20,12 @@ PREDICTIONS = ["subject_id", "fold", "split", "y_true", "prob"]
 WEIGHTS = ["subject_id", "fold", "split", "weight"]
 
 
-def _jsonify(obj):
+def jsonify(obj):
+    """`obj` for json.dumps: numpy arrays and scalars unwrapped, NaN as None."""
     if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
+        return {k: jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, np.ndarray)):
-        return [_jsonify(v) for v in obj]
+        return [jsonify(v) for v in obj]
     if isinstance(obj, np.generic):
         obj = obj.item()
     if isinstance(obj, float) and math.isnan(obj):
@@ -32,15 +33,8 @@ def _jsonify(obj):
     return obj
 
 
-def _write_json(path, obj):
-    Path(path).write_text(json.dumps(_jsonify(obj), indent=2) + "\n", encoding="utf-8")
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+def write_json(path, obj):
+    Path(path).write_text(json.dumps(jsonify(obj), indent=2) + "\n", encoding="utf-8")
 
 
 def _label(text: str) -> int:
@@ -68,13 +62,13 @@ def save_run(out: Path, run: CVRun, subject_ids, factors, cfg: dict, cohort):
             if math.isfinite(weights[fold][i]):
                 weight_rows.append([sid, fold, split, weights[fold][i]])
             pred_rows.append([sid, fold, split, labels[i], probs[fold][i]])
-    _write_csv(out / "weights.csv", WEIGHTS, weight_rows)
-    _write_csv(out / "predictions.csv", PREDICTIONS, pred_rows)
-    _write_csv(out / "factors.csv", ["subject_id"] + [f"f_{n}" for n in factors.factor_names],
-               [[sid] + row for sid, row in zip(subject_ids, factors.values.tolist())])
+    write_csv(out / "weights.csv", WEIGHTS, weight_rows)
+    write_csv(out / "predictions.csv", PREDICTIONS, pred_rows)
+    write_csv(out / "factors.csv", ["subject_id"] + [f"f_{n}" for n in factors.factor_names],
+              [[sid] + row for sid, row in zip(subject_ids, factors.values.tolist())])
     for manifest in run.manifests:
-        _write_json(out / f"manifest_fold{manifest['fold']}.json", manifest)
-    _write_json(out / "run_summary.json", {
+        write_json(out / f"manifest_fold{manifest['fold']}.json", manifest)
+    write_json(out / "run_summary.json", {
         "scheme": run.scheme,
         "seed": run.seed,
         "n_folds": run.n_folds,
@@ -99,9 +93,12 @@ def load_run(run_dir):
     """
     run_dir = Path(run_dir)
     summary = _read_run_summary(run_dir / "run_summary.json")
-    preds = _read_table(run_dir / "predictions.csv", PREDICTIONS, [str, int, str, _label, float])
-    weights = _read_table(run_dir / "weights.csv", WEIGHTS, [str, int, str, _finite])
-    factor_names, factors_by_id = _read_factors(run_dir / "factors.csv")
+    _, preds = read_table(run_dir / "predictions.csv",
+                          fixed_header(PREDICTIONS, [str, int, str, _label, float]))
+    _, weights = read_table(run_dir / "weights.csv", fixed_header(WEIGHTS, [str, int, str, _finite]))
+    header, factor_columns = read_table(run_dir / "factors.csv", _factor_casts)
+    factor_names = [c[2:] for c in header[1:]]
+    factors_by_id = {sid: values for sid, *values in zip(*factor_columns)}
     n_folds = summary["n_folds"]
     for name, columns in (("predictions.csv", preds), ("weights.csv", weights)):
         bad = next((f for f in columns[1] if not 0 <= f < n_folds), None)
@@ -160,48 +157,11 @@ def _read_run_summary(path) -> dict:
     return summary
 
 
-def _read_table(path, expected_header, casts) -> list[list]:
-    """The columns of a run CSV, each field converted by the cast of its
-    column; a row that does not convert is a DataError naming its line."""
-    columns = [[] for _ in casts]
-    try:
-        with open(path, "r", newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != expected_header:
-                raise DataError(f"{path}: expected header {','.join(expected_header)}")
-            for row in reader:
-                if len(row) != len(casts):
-                    raise DataError(f"{path}:{reader.line_num}: expected {len(casts)} fields, "
-                                    f"got {len(row)}")
-                try:
-                    values = [cast(v) for cast, v in zip(casts, row)]
-                except ValueError as exc:
-                    raise DataError(f"{path}:{reader.line_num}: {exc}") from None
-                for column, value in zip(columns, values):
-                    column.append(value)
-            return columns
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
-
-
-def _read_factors(path):
-    """(factor names, finite factor values by subject id) from a run's
-    factors.csv; a malformed header, a duplicated subject or a bad row is a
-    DataError naming the file and, for a row, its line."""
-    try:
-        with open(path, "r", newline="", encoding="utf-8") as fh:
-            header = next(csv.reader(fh), None)
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
+def _factor_casts(header):
+    """read_table's casts for a run's factors.csv: a subject id met once, then
+    one finite value per factor, each named once in the header."""
     names = [c[2:] for c in (header or [])[1:]]
     if (not header or header[0] != "subject_id" or len(set(names)) != len(names)
             or not all(c.startswith("f_") and c[2:] for c in header[1:])):
-        raise DataError(f"{path}: expected header subject_id,f_<factor>...")
-    by_id = {}
-    for line, (sid, *values) in enumerate(
-            zip(*_read_table(path, header, [str] + [_finite] * len(names))), start=2):
-        if sid in by_id:
-            raise DataError(f"{path}:{line}: duplicate subject {sid!r}")
-        by_id[sid] = values
-    return names, by_id
+        raise ValueError("expected header subject_id,f_<factor>...")
+    return [distinct()] + [_finite] * len(names)

@@ -43,6 +43,9 @@ from .seeding import rng_for
 from .weight_field import WeightField, grad_a, negativity_penalty
 
 SCHEMES = ("none", "spectral", "only_graph", "jtt")
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -82,9 +85,6 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     scratch: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -107,16 +107,16 @@ def adam_step(state: AdamState, params, grads, lr: float) -> np.ndarray:
         raise ValueError("parameter/gradient shape does not match optimizer state")
     state.step += 1
     m, v, tmp = state.m, state.v, state.scratch
-    m *= state.beta1
-    m += np.multiply(grads, 1.0 - state.beta1, out=tmp)
-    v *= state.beta2
-    np.multiply(grads, 1.0 - state.beta2, out=tmp)
+    m *= ADAM_BETA1
+    m += np.multiply(grads, 1.0 - ADAM_BETA1, out=tmp)
+    v *= ADAM_BETA2
+    np.multiply(grads, 1.0 - ADAM_BETA2, out=tmp)
     v += np.multiply(tmp, grads, out=tmp)
     # params - lr * m_hat / (sqrt(v_hat) + eps), one operation at a time.
-    np.divide(v, 1.0 - state.beta2 ** state.step, out=tmp)
+    np.divide(v, 1.0 - ADAM_BETA2 ** state.step, out=tmp)
     np.sqrt(tmp, out=tmp)
-    tmp += state.eps
-    update = np.divide(m, 1.0 - state.beta1 ** state.step)
+    tmp += ADAM_EPS
+    update = np.divide(m, 1.0 - ADAM_BETA1 ** state.step)
     update *= lr
     update /= tmp
     return np.subtract(params, update, out=update)

@@ -251,3 +251,21 @@ def test_groups_roundtrip(tmp_path):
     write_groups_csv(path, data.subject_ids, groups)
     loaded = read_groups_csv(path)
     assert loaded == dict(zip(data.subject_ids, groups))
+
+
+@pytest.mark.parametrize("raw, message", [
+    (b"subject_id,noise_group\nS0000,low\nS0001\n", r"groups\.csv:3: expected 2 fields, got 1"),
+    (b"subject_id,noise_group\nS0000,low\nS0001,high\nS0000,high\n",
+     r"groups\.csv:4: duplicate subject 'S0000'"),
+    (b"subject_id,noise_group\nS0000,l\xffow\n", r"cannot read .*groups\.csv: 'utf-8' codec"),
+], ids=["short-row", "repeated-subject", "not-utf8"])
+def test_bad_groups_file_is_data_error(tmp_path, raw, message):
+    path = tmp_path / "groups.csv"
+    path.write_bytes(raw)
+    with pytest.raises(DataError, match=message):
+        read_groups_csv(path)
+
+
+def test_missing_groups_file_is_data_error(tmp_path):
+    with pytest.raises(DataError, match=r"cannot read .*absent\.csv: \[Errno 2\]"):
+        read_groups_csv(tmp_path / "absent.csv")

@@ -1,6 +1,8 @@
+import builtins
 import csv
 import json
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,3 +121,18 @@ def test_report_reads_no_manifest(saved_run, tmp_path):
         path.write_text("not json")
     assert main(["report", "--run", str(copy)]) == 0
     assert json.loads((copy / "report.json").read_text())["n_folds"] == run.n_folds
+
+
+def test_load_run_opens_factors_once(saved_run, monkeypatch):
+    """factors.csv is read in one pass: its header and rows share one open."""
+    _, out, _ = saved_run
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(Path(file).name)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    load_run(out)
+    assert opened.count("factors.csv") == 1
