@@ -15,6 +15,7 @@ changes nothing: graph draws no random numbers.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -316,7 +317,6 @@ def build_parser() -> _Parser:
     p_synth = sub.add_parser("synth", help="generate a synthetic cohort CSV")
     p_synth.add_argument("--out", required=True)
     _add_settings(p_synth, _SYNTH)
-    p_synth.set_defaults(func=cmd_synth)
 
     p_graph = sub.add_parser("graph", help="build the factor graph and its basis")
     p_graph.add_argument("--cohort", required=True)
@@ -325,34 +325,33 @@ def build_parser() -> _Parser:
         "seed": "accepted, but graph draws no random numbers, so the seed does not "
                 "change its output"})
     p_graph.add_argument("--dump-graph", action="store_true")
-    p_graph.set_defaults(func=cmd_graph)
 
     p_train = sub.add_parser("train", help="cross-validated weighted training")
     p_train.add_argument("--cohort", required=True)
     p_train.add_argument("--out", required=True)
     _add_settings(p_train, _TRAIN)
-    p_train.set_defaults(func=cmd_train)
 
     p_report = sub.add_parser("report", help="summarize a training run directory")
     p_report.add_argument("--run", required=True)
     p_report.add_argument("--out")
-    p_report.set_defaults(func=cmd_report)
 
     p_sweep = sub.add_parser("sweep", help="neighbor/centering grid of gap metrics")
     p_sweep.add_argument("--cohort", required=True)
     p_sweep.add_argument("--out", required=True)
     _add_settings(p_sweep, _SWEEP, {"k_grid": "comma-separated K values (config key k_grid)",
                                     "c_grid": "comma-separated c values (config key c_grid)"})
-    p_sweep.set_defaults(func=cmd_sweep)
 
     return parser
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = _parser().parse_args(argv)
+        # Looked up at call time, so a replaced module attribute cmd_<name> runs.
+        return globals()["cmd_" + args.command](args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -14,7 +14,10 @@ are never part of the model input.
 `read_factor_table` runs the same subject-block walk and checks as
 `read_cohort_csv` but never converts feature cells, so `specweight graph`,
 which uses only the factors, accepts a cohort whose x_* cells are not finite
-numbers. Every other CSV table (run files, groups.csv, graph and report
+numbers. The walk parses the visit, label and factor cells of a subject's
+first row alone when the other rows repeat them as text, as `write_cohort_csv`
+writes them, and of every row otherwise; either way a bad file gets one
+message. Every other CSV table (run files, groups.csv, graph and report
 outputs) is written by `write_csv`; `read_table` reads those read back.
 """
 
@@ -23,6 +26,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import itertools
+import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -156,6 +160,9 @@ def _subject_blocks(path, fh):
             raise DataError(f"{path}: line {reader.line_num}: blank row")
         return row[0]
 
+    n_fields = 3 + n_factors + width
+    visit_text: list[str] = []  # "0", "1", ... up to the longest block so far
+
     def blocks():
         seen: set[str] = set()
         for sid, block in itertools.groupby(reader, key=subject_id):
@@ -163,18 +170,27 @@ def _subject_blocks(path, fh):
                 raise DataError(f"{path}: rows for subject {sid} are not contiguous")
             seen.add(sid)
             block = list(block)
+            visit_text.extend(map(str, range(len(visit_text), len(block))))
+            # Rows with the header's field count, the visit text "0".."n-1" and
+            # the first row's label and factor text need only that row parsed.
+            fixed, parsed = block[0][2:3 + n_factors], block
+            if all(len(r) == n_fields and r[1] == t and r[2:3 + n_factors] == fixed
+                   for r, t in zip(block, visit_text)):
+                parsed = block[:1]
             try:
-                visits_idx = [int(r[1]) for r in block]
-                labels = {int(r[2]) for r in block}
-                fvals = [[float(v) for v in r[3:3 + n_factors]] for r in block]
+                visits_idx = [int(r[1]) for r in parsed]
+                labels = {int(r[2]) for r in parsed}
+                fvals = [list(map(float, r[3:3 + n_factors])) for r in parsed]
             except (ValueError, IndexError) as exc:
                 raise DataError(f"{path}: malformed row for subject {sid}: {exc}") from None
-            if visits_idx != list(range(len(block))):
+            if visits_idx != list(range(len(parsed))):
                 raise DataError(
                     f"{path}: subject {sid}: visit indices must be 0..{len(block) - 1}")
             if len(labels) != 1:
                 raise DataError(f"{path}: subject {sid}: label must be constant across visits")
-            if any(fv != fvals[0] for fv in fvals[1:]):
+            # NaN equals nothing, so a NaN factor is never constant across visits.
+            if (fvals.count(fvals[0]) != len(fvals)
+                    or len(block) > 1 and any(map(math.isnan, fvals[0]))):
                 raise DataError(
                     f"{path}: subject {sid}: factor values must be constant across visits")
             label = labels.pop()
@@ -240,12 +256,13 @@ def write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def read_table(path, casts_for) -> tuple[list[str], list[list]]:
+def read_table(path, casts_for, key=None) -> tuple[list[str], list[list]]:
     """(header, columns) of a CSV table other than the cohort, read in one
     pass. `casts_for(header)` returns one cast per column, or raises
-    ValueError for a header it rejects. A rejected header, a row with another
-    field count or a field whose cast raises ValueError is a DataError naming
-    the file and, for a row, its line."""
+    ValueError for a header it rejects; `key(row)`, if given, names what a
+    cast row is about, or returns None. A rejected header, a row with another
+    field count, a field whose cast raises ValueError or a second row with one
+    name is a DataError naming the file and, for a row, its line."""
     with _open_for_reading(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -253,12 +270,17 @@ def read_table(path, casts_for) -> tuple[list[str], list[list]]:
             casts = casts_for(header)
         except ValueError as exc:
             raise DataError(f"{path}: {exc}") from None
-        rows = []
+        rows, names = [], set()
         for row in reader:
             try:
                 if len(row) != len(casts):
                     raise ValueError(f"expected {len(casts)} fields, got {len(row)}")
                 rows.append([cast(v) for cast, v in zip(casts, row)])
+                name = key and key(rows[-1])
+                if name in names:
+                    raise ValueError(f"duplicate {name}")
+                if name:
+                    names.add(name)
             except ValueError as exc:
                 raise DataError(f"{path}:{reader.line_num}: {exc}") from None
     return header, [list(column) for column in zip(*rows)] if rows else [[] for _ in casts]
@@ -273,16 +295,9 @@ def fixed_header(expected, casts):
     return casts_for
 
 
-def distinct():
-    """A fresh `read_table` cast that rejects a subject id it has met before."""
-    seen = set()
-
-    def cast(sid):
-        if sid in seen:
-            raise ValueError(f"duplicate subject {sid!r}")
-        seen.add(sid)
-        return sid
-    return cast
+def by_subject(row) -> str:
+    """A `read_table` key for tables with one row per subject id."""
+    return f"subject {row[0]!r}"
 
 
 def write_groups_csv(path, subject_ids, groups) -> None:
@@ -292,5 +307,6 @@ def write_groups_csv(path, subject_ids, groups) -> None:
 
 def read_groups_csv(path) -> dict[str, str]:
     """Noise group by subject id; read_table's checks, and no subject twice."""
-    _, columns = read_table(path, fixed_header(["subject_id", "noise_group"], [distinct(), str]))
+    _, columns = read_table(path, fixed_header(["subject_id", "noise_group"], [str, str]),
+                            key=by_subject)
     return dict(zip(*columns))

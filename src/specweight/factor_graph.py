@@ -17,7 +17,10 @@ array. The squared distances stay on one
 einsum call per row block because einsum does not sum factors left to right
 (with 3 factors it adds (0 + 2) + 1): a column-by-column sum or a Gram-matrix
 formula changes their bits, and with them the adjacency and every output
-downstream.
+downstream. Each block computes only the pairs at and right of the diagonal
+and copies their transpose below it. That copy is exact: IEEE subtraction is
+antisymmetric, so x_j - x_i is -(x_i - x_j) bit for bit, its square is the
+same, and einsum sums each pair's factors in the same order either way.
 """
 
 from __future__ import annotations
@@ -142,8 +145,10 @@ def build_graph(factors: FactorTable, k: int) -> FactorGraph:
     x = factors.values
     d2 = np.empty((n, n))
     for start in range(0, n, _ROW_BLOCK):
-        diff = x[start:start + _ROW_BLOCK, None, :] - x[None, :, :]
-        np.einsum("ijk,ijk->ij", diff, diff, out=d2[start:start + _ROW_BLOCK])
+        stop = start + _ROW_BLOCK
+        diff = x[start:stop, None, :] - x[None, start:, :]
+        np.einsum("ijk,ijk->ij", diff, diff, out=d2[start:stop, start:])
+        d2[stop:, start:stop] = d2[start:stop, stop:].T
     del diff
     np.fill_diagonal(d2, np.inf)
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import distinct, fixed_header, read_table, write_csv
+from .dataset import by_subject, fixed_header, read_table, write_csv
 from .errors import DataError
 from .evaluation import CVRun
 from .predictor import RecurrentClassifier, save_checkpoint
@@ -86,17 +86,20 @@ def save_run(out: Path, run: CVRun, subject_ids, factors, cfg: dict, cohort):
 def load_run(run_dir):
     """(CVRun, subject ids, factor names, factor values, summary) of a run
     directory, with one factor row per subject. A subject's index is its
-    first appearance in predictions.csv, where it needs exactly one test row;
-    each (fold, subject) entry the files do not hold is NaN. A file that
+    first appearance in predictions.csv, where it needs exactly one test row
+    and at most one train row per fold; weights.csv holds at most one row per
+    (fold, subject). Each (fold, subject) entry the files do not hold is NaN. A file that
     breaks the format is a DataError naming it. Manifests and checkpoints
     are not read.
     """
     run_dir = Path(run_dir)
     summary = _read_run_summary(run_dir / "run_summary.json")
     _, preds = read_table(run_dir / "predictions.csv",
-                          fixed_header(PREDICTIONS, [str, int, str, _label, float]))
-    _, weights = read_table(run_dir / "weights.csv", fixed_header(WEIGHTS, [str, int, str, _finite]))
-    header, factor_columns = read_table(run_dir / "factors.csv", _factor_casts)
+                          fixed_header(PREDICTIONS, [str, int, str, _label, float]),
+                          key=lambda row: _subject_fold(row) if row[2] == "train" else None)
+    _, weights = read_table(run_dir / "weights.csv", fixed_header(WEIGHTS, [str, int, str, _finite]),
+                            key=_subject_fold)
+    header, factor_columns = read_table(run_dir / "factors.csv", _factor_casts, key=by_subject)
     factor_names = [c[2:] for c in header[1:]]
     factors_by_id = {sid: values for sid, *values in zip(*factor_columns)}
     n_folds = summary["n_folds"]
@@ -141,6 +144,10 @@ def load_run(run_dir):
     return run, subject_ids, factor_names, factor_values, summary
 
 
+def _subject_fold(row) -> str:
+    return f"{by_subject(row)} in fold {row[1]}"
+
+
 def _read_run_summary(path) -> dict:
     """The run's summary; anything but a JSON object with scheme, seed and an
     integer n_folds >= 2 is a DataError naming the file."""
@@ -158,10 +165,10 @@ def _read_run_summary(path) -> dict:
 
 
 def _factor_casts(header):
-    """read_table's casts for a run's factors.csv: a subject id met once, then
-    one finite value per factor, each named once in the header."""
+    """read_table's casts for a run's factors.csv: a subject id, then one
+    finite value per factor, each named once in the header."""
     names = [c[2:] for c in (header or [])[1:]]
     if (not header or header[0] != "subject_id" or len(set(names)) != len(names)
             or not all(c.startswith("f_") and c[2:] for c in header[1:])):
         raise ValueError("expected header subject_id,f_<factor>...")
-    return [distinct()] + [_finite] * len(names)
+    return [str] + [_finite] * len(names)

@@ -1027,3 +1027,40 @@ class TestUsage:
                           "--out", str(tmp_path), "--k", "8"])
         assert rc == 3
         assert "numerical failure" in capsys.readouterr().err
+
+
+class TestParserBuiltOnce:
+    """`main` parses with one parser per process: no flag value of one call
+    may reach the next, and each command runs the module attribute cmd_<name>
+    as it is at call time."""
+
+    def test_calls_in_one_process_match_fresh_processes(self, cohort_dir, tmp_path, capsys):
+        cohort = str(cohort_dir / "cohort.csv")
+        cfgfile = tmp_path / "train.cfg"
+        cfgfile.write_text("epochs=1\nk=8\nm=3\nbatch=16\nfolds=3\n")
+        calls = [["graph", "--cohort", cohort, "--k", "5", "--m", "sometimes"],
+                 ["graph", "--cohort", cohort, "--k", "5"],
+                 ["graph", "--cohort", cohort],
+                 ["train", "--cohort", cohort, "--config", str(cfgfile)]]
+        for i, argv in enumerate(calls):
+            here, fresh = tmp_path / f"here{i}", tmp_path / f"fresh{i}"
+            code = main(argv + ["--out", str(here)])
+            captured = capsys.readouterr()
+            proc = run_cli(*argv, "--out", fresh)
+            assert (code, captured.out, captured.err) == (
+                proc.returncode, proc.stdout, proc.stderr), argv
+            assert code == (1 if i == 0 else 0)
+            if code == 0:
+                want = {p.name: p.read_bytes() for p in sorted(fresh.iterdir())}
+                assert {p.name: p.read_bytes() for p in sorted(here.iterdir())} == want
+
+    def test_replaced_command_runs(self, tmp_path, monkeypatch):
+        import specweight.cli as cli
+
+        assert main(["graph", "--cohort", str(tmp_path / "absent.csv"),
+                     "--out", str(tmp_path)]) == 2
+        seen = []
+        monkeypatch.setattr(cli, "cmd_graph", lambda args: seen.append(args.k) or 0)
+        assert main(["graph", "--cohort", str(tmp_path / "absent.csv"),
+                     "--out", str(tmp_path), "--k", "7"]) == 0
+        assert seen == [7]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specweight.cli import main
 from specweight.dataset import (
     CohortDataset,
     Subject,
@@ -218,6 +219,84 @@ def test_factor_reader_skips_feature_cells(tmp_path):
     assert factors.values.tolist() == [[0.5], [1.5]]
     with pytest.raises(DataError, match="could not convert string to float: 'oops'"):
         read_cohort_csv(path)
+
+
+_H = "subject_id,visit,y,f_g,f_h,x_0,x_1\n"
+_B = "B,0,0,3.0,4.0,0.5,0.6\n"
+
+# Cohorts whose visit, label or factor text is not the plain repeated form
+# that write_cohort_csv writes, each with the exact error of both readers, or
+# None where both accept it. A block whose cells repeat as text is checked on
+# its first row; every other block is parsed whole.
+PINNED = {
+    "visit-01": (_H + "A,0,1,1.0,2.0,0.1,0.2\nA,01,1,1.0,2.0,0.3,0.4\n" + _B, None),
+    "label-plus-1": (_H + "A,0,+1,1.0,2.0,0.1,0.2\nA,1,+1,1.0,2.0,0.3,0.4\n" + _B, None),
+    "label-plus-1-then-1": (_H + "A,0,+1,1.0,2.0,0.1,0.2\nA,1,1,1.0,2.0,0.3,0.4\n" + _B, None),
+    "factor-1.0-then-1": (_H + "A,0,1,1.0,2.0,0.1,0.2\nA,1,1,1,2.0,0.3,0.4\n" + _B, None),
+    "nan-repeated": (_H + "A,0,1,nan,2.0,0.1,0.2\nA,1,1,nan,2.0,0.3,0.4\n" + _B,
+                     "{path}: subject A: factor values must be constant across visits"),
+    "nan-one-visit": (_H + "A,0,1,nan,2.0,0.1,0.2\n" + _B,
+                      "factor table contains missing or non-finite values"),
+    "label-1.0": (_H + "A,0,1.0,1.0,2.0,0.1,0.2\nA,1,1.0,1.0,2.0,0.3,0.4\n" + _B,
+                  "{path}: malformed row for subject A: invalid literal for int() with base 10: "
+                  "'1.0'"),
+    "label-2": (_H + "A,0,2,1.0,2.0,0.1,0.2\nA,1,2,1.0,2.0,0.3,0.4\n" + _B,
+                "subject A: label must be 0 or 1"),
+    "label-changes": (_H + "A,0,1,1.0,2.0,0.1,0.2\nA,1,0,1.0,2.0,0.3,0.4\n" + _B,
+                      "{path}: subject A: label must be constant across visits"),
+    "factor-changes": (_H + "A,0,1,1.0,2.0,0.1,0.2\nA,1,1,1.5,2.0,0.3,0.4\n" + _B,
+                       "{path}: subject A: factor values must be constant across visits"),
+    "factor-text": (_H + "A,0,1,high,2.0,0.1,0.2\nA,1,1,high,2.0,0.3,0.4\n" + _B,
+                    "{path}: malformed row for subject A: could not convert string to float: "
+                    "'high'"),
+    "visit-from-1": (_H + "A,1,1,1.0,2.0,0.1,0.2\n" + _B,
+                     "{path}: subject A: visit indices must be 0..0"),
+    "short-row": (_H + "A,0,1,1.0,2.0,0.1,0.2\nB,0,0,3.0,4.0,0.5\n",
+                  "{path}: subject B: wrong feature count"),
+    "extra-field": (_H + "A,0,1,1.0,2.0,0.1,0.2\nB,0,0,3.0,4.0,0.5,0.6,0.7\n",
+                    "{path}: subject B: wrong feature count"),
+    "split-block": (_H + "A,0,1,1.0,2.0,0.1,0.2\n" + _B + "A,1,1,1.0,2.0,0.3,0.4\n",
+                    "{path}: rows for subject A are not contiguous"),
+    "blank-line": (_H + "A,0,1,1.0,2.0,0.1,0.2\n\n" + _B, "{path}: line 3: blank row"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_readers_pin_each_message(tmp_path, capsys, name):
+    """Both readers, and the graph and train commands that call them, which
+    exit 2 with the message."""
+    text, message = PINNED[name]
+    path = _write(tmp_path / "x.csv", text)
+    if message is None:
+        data, factors = read_cohort_csv(path)
+        ids, factors_only = read_factor_table(path)
+        assert ids == data.subject_ids == ["A", "B"]
+        assert data.labels.tolist() == [1, 0]
+        assert [s.visits.shape[0] for s in data.subjects] == [2, 1]
+        assert factors.values.tolist() == factors_only.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        return
+    expected = message.format(path=path)
+    for reader in (read_cohort_csv, read_factor_table):
+        with pytest.raises(DataError) as caught:
+            reader(path)
+        assert str(caught.value) == expected
+    for command in ("graph", "train"):
+        code = main([command, "--cohort", str(path), "--out", str(tmp_path / command)])
+        assert (code, capsys.readouterr().err) == (2, f"data error: {expected}\n")
+
+
+def test_short_later_visit(tmp_path):
+    """A short second visit: read_factor_table counts fields, read_cohort_csv
+    fails in numpy's array constructor, whose wording after this prefix
+    depends on the numpy version."""
+    path = _write(tmp_path / "x.csv", _H + "A,0,1,1.0,2.0,0.1,0.2\nA,1,1,1.0,2.0,0.3\n" + _B)
+    with pytest.raises(DataError) as caught:
+        read_factor_table(path)
+    assert str(caught.value) == f"{path}: subject A: wrong feature count"
+    with pytest.raises(DataError) as caught:
+        read_cohort_csv(path)
+    assert str(caught.value).startswith(
+        f"{path}: malformed row for subject A: setting an array element with a sequence.")
 
 
 @pytest.mark.parametrize("spec", [SynthSpec(n_subjects=60, feature_width=6, seed=11),

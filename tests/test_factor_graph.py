@@ -163,26 +163,43 @@ class TestBuildGraph:
         got = build_graph(t, k).adjacency
         assert got.tobytes() == self.argsort_adjacency(t, k).tobytes()
 
-    @settings(max_examples=120, deadline=None)
-    @given(st.integers(0, 2 ** 32 - 1),
-           st.sampled_from([63, 64, 65, 128, 129, 150]) | st.integers(2, 150),
-           st.integers(3, 6), st.booleans(), st.floats(0.0, 1.0))
-    def test_matches_stable_argsort_across_row_blocks(self, seed, n, f, ties, where):
-        """Tables longer than one distance row block, some ending in a partial
-        block, with 3-6 columns, where einsum's summation order matters: the
-        adjacency is bit-identical to the full-einsum reference, and the
-        Laplacian to Deg - A with no -0.0 off the diagonal."""
-        rng = np.random.default_rng(seed)
-        if ties:
-            t = table(rng.integers(-2, 3, size=(n, f)))
-        else:
-            t = standardize(table(rng.normal(size=(n, f))))
-        k = min(max(1, round(where * (n - 1))), n - 1)
+    def check_against_reference(self, t, k):
+        """The adjacency is bit-identical to the full-einsum reference, and
+        the Laplacian to Deg - A with no -0.0 off the diagonal."""
         g = build_graph(t, k)
         assert g.adjacency.tobytes() == self.argsort_adjacency(t, k).tobytes()
         lap = laplacian(g)
         assert lap.tobytes() == (np.diag(g.degree) - g.adjacency).tobytes()
         assert not np.signbit(lap[lap == 0.0]).any()
+
+    @staticmethod
+    def random_table(rng, n, f, ties):
+        if ties:
+            return table(rng.integers(-2, 3, size=(n, f)))
+        return standardize(table(rng.normal(size=(n, f))))
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([63, 64, 65, 127, 128, 129, 400]) | st.integers(2, 150),
+           st.integers(1, 17), st.booleans(), st.floats(0.0, 1.0))
+    def test_matches_stable_argsort_across_row_blocks(self, seed, n, f, ties, where):
+        """Tables longer than one distance row block, some ending in a partial
+        block, with 1-17 columns (einsum's summation order matters from 3):
+        build_graph computes each block's distances at and right of the
+        diagonal and mirrors them below it, and must match the reference,
+        which computes every pair."""
+        rng = np.random.default_rng(seed)
+        k = min(max(1, round(where * (n - 1))), n - 1)
+        self.check_against_reference(self.random_table(rng, n, f, ties), k)
+
+    @pytest.mark.parametrize("ties", [True, False], ids=["ties", "normal"])
+    @pytest.mark.parametrize("n", [63, 64, 65, 127, 128, 129, 400])
+    def test_mirrored_distances_at_block_edges(self, n, ties):
+        rng = np.random.default_rng(n)
+        for f in (1, 2, 3, 7, 17):
+            t = self.random_table(rng, n, f, ties)
+            for k in (1, n // 3, n - 1):
+                self.check_against_reference(t, k)
 
 
 class TestLaplacian:

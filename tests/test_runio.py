@@ -92,6 +92,10 @@ def first_test_row(rows):
     return rows[next(i for i, r in enumerate(rows) if r[2] == "test")]
 
 
+def first_train_row(rows):
+    return rows[next(i for i, r in enumerate(rows) if r[2] == "train")]
+
+
 @pytest.mark.parametrize("name, edit, message", [
     ("predictions.csv", lambda rows: rows + [first_test_row(rows)],
      r"predictions.csv: subject 'S\d+' has 2 test rows, expected exactly one"),
@@ -103,7 +107,12 @@ def first_test_row(rows):
      "weights.csv:2: non-finite value 'nan'"),
     ("predictions.csv", lambda rows: rows[:1] + [rows[1][:3] + ["9" * 24, "0.5"]] + rows[2:],
      "predictions.csv:2: y_true must be 0 or 1"),
-], ids=["second-test-row", "no-test-row", "unknown-weight-subject", "nan-weight", "huge-label"])
+    ("weights.csv", lambda rows: rows + [rows[1][:3] + ["123.0"]],
+     r"weights.csv:\d+: duplicate subject 'S\d+' in fold 0"),
+    ("predictions.csv", lambda rows: rows + [first_train_row(rows)],
+     r"predictions.csv:\d+: duplicate subject 'S\d+' in fold \d"),
+], ids=["second-test-row", "no-test-row", "unknown-weight-subject", "nan-weight", "huge-label",
+        "repeated-weight-row", "repeated-train-row"])
 def test_broken_format_is_data_error_naming_the_file(saved_run, tmp_path, capsys, name, edit,
                                                      message):
     _, out, _ = saved_run
