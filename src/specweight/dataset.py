@@ -14,11 +14,9 @@ are never part of the model input.
 `read_factor_table` runs the same subject-block walk and checks as
 `read_cohort_csv` but never converts feature cells, so `specweight graph`,
 which uses only the factors, accepts a cohort whose x_* cells are not finite
-numbers. The walk parses the visit, label and factor cells of a subject's
-first row alone when the other rows repeat them as text, as `write_cohort_csv`
-writes them, and of every row otherwise; either way a bad file gets one
-message. Every other CSV table (run files, groups.csv, graph and report
-outputs) is written by `write_csv`; `read_table` reads those read back.
+numbers. The walk parses the visit, label and factor cells of every row.
+Every other CSV table (run files, groups.csv, graph and report outputs) is
+written by `write_csv`; `read_table` reads those read back.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import itertools
-import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -160,9 +157,6 @@ def _subject_blocks(path, fh):
             raise DataError(f"{path}: line {reader.line_num}: blank row")
         return row[0]
 
-    n_fields = 3 + n_factors + width
-    visit_text: list[str] = []  # "0", "1", ... up to the longest block so far
-
     def blocks():
         seen: set[str] = set()
         for sid, block in itertools.groupby(reader, key=subject_id):
@@ -170,27 +164,18 @@ def _subject_blocks(path, fh):
                 raise DataError(f"{path}: rows for subject {sid} are not contiguous")
             seen.add(sid)
             block = list(block)
-            visit_text.extend(map(str, range(len(visit_text), len(block))))
-            # Rows with the header's field count, the visit text "0".."n-1" and
-            # the first row's label and factor text need only that row parsed.
-            fixed, parsed = block[0][2:3 + n_factors], block
-            if all(len(r) == n_fields and r[1] == t and r[2:3 + n_factors] == fixed
-                   for r, t in zip(block, visit_text)):
-                parsed = block[:1]
             try:
-                visits_idx = [int(r[1]) for r in parsed]
-                labels = {int(r[2]) for r in parsed}
-                fvals = [list(map(float, r[3:3 + n_factors])) for r in parsed]
+                visits_idx = [int(r[1]) for r in block]
+                labels = {int(r[2]) for r in block}
+                fvals = [[float(v) for v in r[3:3 + n_factors]] for r in block]
             except (ValueError, IndexError) as exc:
                 raise DataError(f"{path}: malformed row for subject {sid}: {exc}") from None
-            if visits_idx != list(range(len(parsed))):
+            if visits_idx != list(range(len(block))):
                 raise DataError(
                     f"{path}: subject {sid}: visit indices must be 0..{len(block) - 1}")
             if len(labels) != 1:
                 raise DataError(f"{path}: subject {sid}: label must be constant across visits")
-            # NaN equals nothing, so a NaN factor is never constant across visits.
-            if (fvals.count(fvals[0]) != len(fvals)
-                    or len(block) > 1 and any(map(math.isnan, fvals[0]))):
+            if any(fv != fvals[0] for fv in fvals[1:]):
                 raise DataError(
                     f"{path}: subject {sid}: factor values must be constant across visits")
             label = labels.pop()
