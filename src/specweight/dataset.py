@@ -11,12 +11,15 @@ constant within a subject; rows are sorted by (subject_id, visit); UTF-8 with
 "." as the decimal separator. Factor columns feed graph construction only and
 are never part of the model input.
 
-`read_factor_table` runs the same subject-block walk and checks as
-`read_cohort_csv` but never converts feature cells, so `specweight graph`,
-which uses only the factors, accepts a cohort whose x_* cells are not finite
-numbers. The walk parses the visit, label and factor cells of every row.
-Every other CSV table (run files, groups.csv, graph and report outputs) is
-written by `write_csv`; `read_table` reads those read back.
+Both readers are one walk over the subject blocks, `_read_cohort`. It checks
+each row's field count against the header before it parses any cell, then
+parses the visit, label and factor cells of every row. `read_cohort_csv`
+also converts the feature cells; `read_factor_table` never does, so
+`specweight graph`, which uses only the factors, accepts a cohort whose x_*
+cells are not finite numbers. Every error the walk meets, the checks of
+`Subject` and `FactorTable` included, is a DataError that begins with the
+file's path. Every other CSV table (run files, groups.csv, graph and report
+outputs) is written by `write_csv`; `read_table` reads those read back.
 """
 
 from __future__ import annotations
@@ -122,114 +125,93 @@ def _open_for_reading(path):
         raise DataError(f"cannot read {path}: {exc}") from None
 
 
-def _subject_blocks(path, fh):
-    """The subject-block walk that both cohort readers share.
+def _read_cohort(path, features: bool) -> tuple[list, FactorTable]:
+    """The one cohort walk behind both readers: (subjects, factor table).
 
-    Checks the header and returns (factor names, feature width, blocks).
-    `blocks` yields (subject_id, label, factor values, rows) per subject,
-    reading one block at a time and never holding all rows. Before a block
-    is yielded it has passed the checks that do not read feature cells: no
-    blank row, contiguous subject rows, visit indices 0..n-1, and a binary
-    label and factor values that are constant across the subject's visits.
-    Feature cells and the field count of each row are left to the caller.
+    Reads one subject block at a time and never holds all rows. Each block
+    must have no blank row, rows of the header's field count (checked before
+    any cell is parsed), contiguous subject rows, visit indices 0..n-1, and a
+    binary label and factor values that are constant across its visits. A
+    subject is a `Subject` when `features` is true, else its id, and its
+    feature cells are converted only in the first case. Every DataError met
+    while reading names the file.
     """
-    reader = csv.reader(fh)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError(f"{path}: empty file") from None
+    subjects: list = []
+    factor_rows: list[list[float]] = []
+    with _open_for_reading(path) as fh:
+        try:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise DataError("empty file")
+            if header[:3] != ["subject_id", "visit", "y"]:
+                raise DataError("header must start with subject_id,visit,y")
+            factor_names = [c[2:] for c in header if c.startswith("f_")]
+            feature_cols = [c for c in header if c.startswith("x_")]
+            start = 3 + len(factor_names)
+            width = len(feature_cols)
+            if width < 1:
+                raise DataError("no feature columns (x_*)")
+            if header[3:] != [f"f_{n}" for n in factor_names] + feature_cols:
+                raise DataError("columns must be subject_id,visit,y,f_*,x_*")
+            if feature_cols != [f"x_{j}" for j in range(width)]:
+                raise DataError(f"feature columns must be x_0..x_{width - 1} in order")
 
-    if header[:3] != ["subject_id", "visit", "y"]:
-        raise DataError(f"{path}: header must start with subject_id,visit,y")
-    factor_names = [c[2:] for c in header if c.startswith("f_")]
-    feature_cols = [c for c in header if c.startswith("x_")]
-    n_factors = len(factor_names)
-    width = len(feature_cols)
-    if width < 1:
-        raise DataError(f"{path}: no feature columns (x_*)")
-    if header[3:] != [f"f_{n}" for n in factor_names] + feature_cols:
-        raise DataError(f"{path}: columns must be subject_id,visit,y,f_*,x_*")
-    if feature_cols != [f"x_{j}" for j in range(width)]:
-        raise DataError(f"{path}: feature columns must be x_0..x_{width - 1} in order")
+            def subject_id(row):
+                if not row:
+                    raise DataError(f"line {reader.line_num}: blank row")
+                return row[0]
 
-    def subject_id(row):
-        if not row:
-            raise DataError(f"{path}: line {reader.line_num}: blank row")
-        return row[0]
-
-    def blocks():
-        seen: set[str] = set()
-        for sid, block in itertools.groupby(reader, key=subject_id):
-            if sid in seen:
-                raise DataError(f"{path}: rows for subject {sid} are not contiguous")
-            seen.add(sid)
-            block = list(block)
-            try:
-                visits_idx = [int(r[1]) for r in block]
-                labels = {int(r[2]) for r in block}
-                fvals = [[float(v) for v in r[3:3 + n_factors]] for r in block]
-            except (ValueError, IndexError) as exc:
-                raise DataError(f"{path}: malformed row for subject {sid}: {exc}") from None
-            if visits_idx != list(range(len(block))):
-                raise DataError(
-                    f"{path}: subject {sid}: visit indices must be 0..{len(block) - 1}")
-            if len(labels) != 1:
-                raise DataError(f"{path}: subject {sid}: label must be constant across visits")
-            if any(fv != fvals[0] for fv in fvals[1:]):
-                raise DataError(
-                    f"{path}: subject {sid}: factor values must be constant across visits")
-            label = labels.pop()
-            if label not in (0, 1):
-                raise DataError(f"subject {sid}: label must be 0 or 1")
-            yield sid, label, fvals[0], block
-
-    return factor_names, width, blocks()
-
-
-def _factor_table(path, factor_rows, factor_names) -> FactorTable:
-    if not factor_rows:
-        raise DataError(f"{path}: no data rows")
-    return FactorTable(np.array(factor_rows, dtype=np.float64), tuple(factor_names))
+            seen: set[str] = set()
+            for sid, block in itertools.groupby(reader, key=subject_id):
+                if sid in seen:
+                    raise DataError(f"rows for subject {sid} are not contiguous")
+                seen.add(sid)
+                block = list(block)
+                if any(len(r) != len(header) for r in block):
+                    raise DataError(f"subject {sid}: wrong feature count")
+                try:
+                    visits_idx = [int(r[1]) for r in block]
+                    labels = {int(r[2]) for r in block}
+                    fvals = [[float(v) for v in r[3:start]] for r in block]
+                    if visits_idx != list(range(len(block))):
+                        raise DataError(f"subject {sid}: visit indices must be 0..{len(block) - 1}")
+                    if len(labels) != 1:
+                        raise DataError(f"subject {sid}: label must be constant across visits")
+                    if any(fv != fvals[0] for fv in fvals[1:]):
+                        raise DataError(
+                            f"subject {sid}: factor values must be constant across visits")
+                    label = labels.pop()
+                    if label not in (0, 1):
+                        raise DataError(f"subject {sid}: label must be 0 or 1")
+                    if features:
+                        visits = np.array([[float(v) for v in r[start:]] for r in block])
+                except ValueError as exc:
+                    raise DataError(f"malformed row for subject {sid}: {exc}") from None
+                subjects.append(Subject(sid, visits, label) if features else sid)
+                factor_rows.append(fvals[0])
+            if not subjects:
+                raise DataError("no data rows")
+            return subjects, FactorTable(np.array(factor_rows, dtype=np.float64),
+                                         tuple(factor_names))
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from None
 
 
 def read_cohort_csv(path) -> tuple[CohortDataset, FactorTable]:
-    """Parse a cohort CSV one subject block at a time, never holding all rows."""
-    subjects: list[Subject] = []
-    factor_rows: list[list[float]] = []
-    with _open_for_reading(path) as fh:
-        factor_names, width, blocks = _subject_blocks(path, fh)
-        start = 3 + len(factor_names)
-        for sid, label, fvals, block in blocks:
-            try:
-                feats = np.array([[float(v) for v in r[start:]] for r in block])
-            except ValueError as exc:
-                raise DataError(f"{path}: malformed row for subject {sid}: {exc}") from None
-            if feats.shape[1] != width:
-                raise DataError(f"{path}: subject {sid}: wrong feature count")
-            subjects.append(Subject(sid, feats, label))
-            factor_rows.append(fvals)
-    factors = _factor_table(path, factor_rows, factor_names)
+    """Cohort and factor table of a cohort CSV."""
+    subjects, factors = _read_cohort(path, features=True)
     return CohortDataset(tuple(subjects)), factors
 
 
 def read_factor_table(path) -> tuple[list[str], FactorTable]:
     """Subject ids and factor table of a cohort CSV, without the features.
 
-    Runs every check of `read_cohort_csv` except those on feature cells: each
-    row must have the header's field count, but x_* cells are not converted
-    to floats, so a non-numeric or non-finite feature value passes here.
+    Runs every check of `read_cohort_csv` except those on feature cells:
+    x_* cells are not converted to floats, so a non-numeric or non-finite
+    feature value passes here.
     """
-    subject_ids: list[str] = []
-    factor_rows: list[list[float]] = []
-    with _open_for_reading(path) as fh:
-        factor_names, width, blocks = _subject_blocks(path, fh)
-        n_fields = 3 + len(factor_names) + width
-        for sid, _, fvals, block in blocks:
-            if any(len(r) != n_fields for r in block):
-                raise DataError(f"{path}: subject {sid}: wrong feature count")
-            subject_ids.append(sid)
-            factor_rows.append(fvals)
-    return subject_ids, _factor_table(path, factor_rows, factor_names)
+    return _read_cohort(path, features=False)
 
 
 def write_csv(path, header, rows) -> None:

@@ -171,10 +171,9 @@ def predict(data: CohortDataset, model, rows, chunk: int) -> np.ndarray:
     return probs
 
 
-def _objective(probs, labels, weights) -> float:
+def _objective(losses, weights) -> float:
     """Mean per-sample weighted loss plus hinge penalty."""
-    losses = bce_loss(probs, labels)
-    return (float(weights @ losses) + negativity_penalty(weights)) / len(probs)
+    return (float(weights @ losses) + negativity_penalty(weights)) / len(losses)
 
 
 def train(data: CohortDataset, cfg: TrainConfig, split, basis: SpectralBasis | None = None,
@@ -210,13 +209,14 @@ def train(data: CohortDataset, cfg: TrainConfig, split, basis: SpectralBasis | N
     opt = AdamState.zeros(model.n_params)
     shuffle = rng_for(seed, "shuffle")
     labels = data.labels
+    weights_of = fixed.__getitem__ if fld is None else fld.weights
     history = TrainHistory()
     # Overflow is caught by the checks on the objective, the activations and
     # the final parameters, each of which raises NumericalError.
     with np.errstate(over="ignore", invalid="ignore"):
-        w = fixed[train_rows] if fld is None else fld.weights(train_rows)
-        history.initial_objective = _objective(predict(data, model, train_rows, cfg.batch_size),
-                                               labels[train_rows], w)
+        probs = predict(data, model, train_rows, cfg.batch_size)
+        history.initial_objective = _objective(bce_loss(probs, labels[train_rows]),
+                                               weights_of(train_rows))
 
         for epoch in range(cfg.epochs):
             order = shuffle.permutation(train_rows)
@@ -224,10 +224,10 @@ def train(data: CohortDataset, cfg: TrainConfig, split, basis: SpectralBasis | N
             for start in range(0, order.size, cfg.batch_size):
                 rows = order[start:start + cfg.batch_size]
                 b = rows.size
-                w = fixed[rows] if fld is None else fld.weights(rows)
+                w = weights_of(rows)
                 probs, cache = model.forward([data.subjects[i].visits for i in rows])
                 losses = bce_loss(probs, labels[rows])
-                objective = (float(w @ losses) + negativity_penalty(w)) / b
+                objective = _objective(losses, w)
                 if not math.isfinite(objective):
                     raise NumericalError(f"non-finite objective at epoch {epoch}")
                 batch_objectives.append(objective)
@@ -245,8 +245,8 @@ def train(data: CohortDataset, cfg: TrainConfig, split, basis: SpectralBasis | N
         if not np.all(np.isfinite(model.flat_params())):
             raise NumericalError("non-finite model parameters after training")
         probs = predict(data, model, np.arange(data.n_samples), cfg.batch_size)
-        w = fixed[train_rows] if fld is None else fld.weights(train_rows)
-        history.final_objective = _objective(probs[train_rows], labels[train_rows], w)
+        history.final_objective = _objective(bce_loss(probs[train_rows], labels[train_rows]),
+                                             weights_of(train_rows))
     return TrainResult(model, fld, history, probs, fixed if fld is None else fld.weights())
 
 

@@ -204,10 +204,10 @@ def test_factor_reader_raises_the_same_error(tmp_path, name):
 def test_factor_reader_checks_field_count(tmp_path, row):
     path = _write(tmp_path / "x.csv",
                   f"subject_id,visit,y,f_g,x_0,x_1\nA,0,1,0.5,0.1,0.2\n{row}\n")
-    with pytest.raises(DataError, match="subject A: wrong feature count"):
-        read_factor_table(path)
-    with pytest.raises(DataError):
-        read_cohort_csv(path)
+    for reader in (read_factor_table, read_cohort_csv):
+        with pytest.raises(DataError) as caught:
+            reader(path)
+        assert str(caught.value) == f"{path}: subject A: wrong feature count"
 
 
 def test_factor_reader_skips_feature_cells(tmp_path):
@@ -235,12 +235,12 @@ PINNED = {
     "nan-repeated": (_H + "A,0,1,nan,2.0,0.1,0.2\nA,1,1,nan,2.0,0.3,0.4\n" + _B,
                      "{path}: subject A: factor values must be constant across visits"),
     "nan-one-visit": (_H + "A,0,1,nan,2.0,0.1,0.2\n" + _B,
-                      "factor table contains missing or non-finite values"),
+                      "{path}: factor table contains missing or non-finite values"),
     "label-1.0": (_H + "A,0,1.0,1.0,2.0,0.1,0.2\nA,1,1.0,1.0,2.0,0.3,0.4\n" + _B,
                   "{path}: malformed row for subject A: invalid literal for int() with base 10: "
                   "'1.0'"),
     "label-2": (_H + "A,0,2,1.0,2.0,0.1,0.2\nA,1,2,1.0,2.0,0.3,0.4\n" + _B,
-                "subject A: label must be 0 or 1"),
+                "{path}: subject A: label must be 0 or 1"),
     "label-changes": (_H + "A,0,1,1.0,2.0,0.1,0.2\nA,1,0,1.0,2.0,0.3,0.4\n" + _B,
                       "{path}: subject A: label must be constant across visits"),
     "factor-changes": (_H + "A,0,1,1.0,2.0,0.1,0.2\nA,1,1,1.5,2.0,0.3,0.4\n" + _B,
@@ -257,6 +257,10 @@ PINNED = {
     "split-block": (_H + "A,0,1,1.0,2.0,0.1,0.2\n" + _B + "A,1,1,1.0,2.0,0.3,0.4\n",
                     "{path}: rows for subject A are not contiguous"),
     "blank-line": (_H + "A,0,1,1.0,2.0,0.1,0.2\n\n" + _B, "{path}: line 3: blank row"),
+    "row-cut-before-factors": (_H + "A,0,1,1.0,2.0,0.1,0.2\nA,1,1\n" + _B,
+                               "{path}: subject A: wrong feature count"),
+    "row-cut-before-label": (_H + "A,0,1,1.0,2.0,0.1,0.2\nA,1\n" + _B,
+                             "{path}: subject A: wrong feature count"),
 }
 
 
@@ -285,15 +289,27 @@ def test_readers_pin_each_message(tmp_path, capsys, name):
 
 
 def test_short_later_visit(tmp_path):
-    """A short second visit is a DataError naming the file in both readers;
-    read_cohort_csv's wording for it is not pinned yet (see ROADMAP)."""
+    """A short second visit is the same field-count error in both readers."""
     path = _write(tmp_path / "x.csv", _H + "A,0,1,1.0,2.0,0.1,0.2\nA,1,1,1.0,2.0,0.3\n" + _B)
-    with pytest.raises(DataError) as caught:
-        read_factor_table(path)
-    assert str(caught.value) == f"{path}: subject A: wrong feature count"
+    for reader in (read_factor_table, read_cohort_csv):
+        with pytest.raises(DataError) as caught:
+            reader(path)
+        assert str(caught.value) == f"{path}: subject A: wrong feature count"
+
+
+def test_non_finite_feature_names_the_file(tmp_path, capsys):
+    """A non-finite feature cell fails read_cohort_csv and train with the
+    file's path; graph, which never converts feature cells, accepts it."""
+    path = _write(tmp_path / "x.csv",
+                  _H + "A,0,1,1.0,2.0,0.1,inf\n" + _B + "C,0,1,5.0,6.0,0.7,0.8\n")
+    expected = f"{path}: subject A: non-finite feature values"
     with pytest.raises(DataError) as caught:
         read_cohort_csv(path)
-    assert str(caught.value).startswith(f"{path}: ")
+    assert str(caught.value) == expected
+    assert main(["train", "--cohort", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == f"data error: {expected}\n"
+    assert read_factor_table(path)[0] == ["A", "B", "C"]
+    assert main(["graph", "--cohort", str(path), "--out", str(tmp_path / "graph"), "--k", "1"]) == 0
 
 
 @pytest.mark.parametrize("spec", [SynthSpec(n_subjects=60, feature_width=6, seed=11),
