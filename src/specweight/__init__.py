@@ -30,8 +30,8 @@ from .factor_graph import (
     select_m_changepoint,
     spectral_basis,
     standardize,
+    symmetric_eigen,
 )
-from .linalg import EigenDecomposition, symmetric_eigen
 from .predictor import LogisticFallback, RecurrentClassifier, bce_loss
 from .synth import NoiseRule, SynthSpec, describe, generate
 from .training import (
@@ -50,7 +50,7 @@ from .weight_field import WeightField, grad_a, negativity_penalty
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdamState", "CVRun", "CohortDataset", "EigenDecomposition", "FactorGraph",
+    "AdamState", "CVRun", "CohortDataset", "FactorGraph",
     "FactorTable", "LogisticFallback", "NoiseRule", "RecurrentClassifier",
     "SpectralBasis", "Subject", "SynthSpec", "TrainConfig", "WeightField",
     "adam_step", "balanced_accuracy", "basis_from_factors", "bce_loss",

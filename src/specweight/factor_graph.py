@@ -25,6 +25,19 @@ The differences are filled one factor at a time: subtracting all factors in
 one broadcast runs numpy's inner loop over the n_factors of one pair, which
 took longer than the einsum (1.6 against 0.8 ms at n = 400, f = 3, on a
 2-vCPU host).
+
+The eigensolve is numpy's LAPACK routine `dsyevd`, on the Laplacian as
+`laplacian` builds it: finite and exactly symmetric, so no check or
+symmetrizing copy stands between the two, and the solve allocates nothing
+beyond LAPACK's output. `eigh` asks for eigenvectors too (divide and
+conquer); `eigvalsh` asks for eigenvalues only, which skips building the
+vectors and costs about half as much. The two paths finish the tridiagonal
+problem with different algorithms, so their eigenvalues agree to rounding,
+not bit for bit. Eigenvalues carry an absolute error of about ||L|| times
+machine epsilon, so those far below ||L|| lose relative accuracy. The null
+space of a graph Laplacian is spanned by the indicators of its connected
+components, so `spectral_basis` deflates it exactly with them instead of
+trusting the near-zero eigenvectors.
 """
 
 from __future__ import annotations
@@ -33,8 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
-from .linalg import EigenDecomposition, fix_column_signs, symmetric_eigen
+from .errors import DataError, NumericalError
 
 NULL_SPACE_TOL = 1e-8
 M_SELECT_CAP = 50
@@ -193,6 +205,22 @@ def laplacian(g: FactorGraph) -> np.ndarray:
     return lap
 
 
+def symmetric_eigen(lap: np.ndarray, vectors: bool = True):
+    """(eigenvalues, eigenvectors) of the Laplacian `lap` by `eigh`, or
+    (eigenvalues, None) by `eigvalsh` when `vectors` is False.
+
+    Eigenvalues come back ascending, with unit eigenvectors as the columns in
+    LAPACK's signs. Deterministic for identical input bits at a fixed BLAS
+    thread count. A LAPACK failure is a NumericalError on both paths.
+    """
+    try:
+        if vectors:
+            return np.linalg.eigh(lap)
+        return np.linalg.eigvalsh(lap), None
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigensolver did not converge: {exc}") from None
+
+
 def connected_components(adjacency: np.ndarray) -> np.ndarray:
     """Component label per node from the nonzero pattern, numbered in order of
     each component's lowest node. The diagonal is ignored, so a Laplacian
@@ -247,33 +275,40 @@ def choose_m(values: np.ndarray, m: int | str = "auto") -> int:
     return m
 
 
-def spectral_basis(eig: EigenDecomposition, labels: np.ndarray,
-                   m: int | str = "auto") -> SpectralBasis:
-    """First m eigenvectors of a graph Laplacian after dropping the null space,
-    given the Laplacian's eigendecomposition `eig` and the component labels
-    of its graph (`connected_components`).
+def fix_column_signs(v: np.ndarray) -> np.ndarray:
+    """Copy of `v` with each column flipped so that its largest-magnitude
+    entry is positive; `v` is not changed.
 
-    Eigenpairs with eigenvalue <= NULL_SPACE_TOL (one per connected component)
-    are discarded before counting m, which `choose_m` picks or checks. The
-    retained columns are projected against the exact component-indicator null
+    np.argmax returns the first maximum, which implements the tie rule
+    (lowest index wins); a zero column is not flipped. The flip alone would
+    write an exact zero as -0.0, so 0.0 is added, which changes nothing else.
+    """
+    lead = np.argmax(np.abs(v), axis=0)
+    signs = np.sign(v[lead, np.arange(v.shape[1])])
+    signs[signs == 0.0] = 1.0
+    return v * signs + 0.0
+
+
+def spectral_basis(vectors: np.ndarray, eigenvalues: np.ndarray,
+                   labels: np.ndarray) -> SpectralBasis:
+    """Basis from the chosen non-null eigenpairs of a graph Laplacian: the
+    columns `vectors` with their `eigenvalues`, and the component labels of
+    its graph (`connected_components`).
+
+    The columns are projected against the exact component-indicator null
     space. The eigensolver leaves them orthogonal to it only up to rounding
     error scaled by ||L|| over the smallest retained eigenvalue; the deflation
     pins the zero-column-sum property down to rounding error however small
-    that eigenvalue is.
+    that eigenvalue is. The columns are then normalized and sign-fixed.
     """
-    n = eig.eigenvectors.shape[0]
-    kept = np.flatnonzero(eig.eigenvalues > NULL_SPACE_TOL)
-    m = choose_m(eig.eigenvalues[kept], m)
-    if m == 0:
-        return SpectralBasis.empty(n)
-
-    # Fancy indexing returns F order and .copy() makes it C order, which the
-    # bits of the sums below depend on.
-    basis = eig.eigenvectors[:, kept[:m]].copy()
+    if vectors.shape[1] == 0:
+        return SpectralBasis.empty(vectors.shape[0])
+    # The copy is C order, which the bits of the sums below depend on.
+    basis = vectors.copy()
     u0 = _component_null_basis(labels)
     basis -= u0 @ (u0.T @ basis)
     basis /= np.linalg.norm(basis, axis=0)
-    return SpectralBasis(fix_column_signs(basis), eig.eigenvalues[kept[:m]])
+    return SpectralBasis(fix_column_signs(basis), eigenvalues)
 
 
 def basis_from_factors(raw: FactorTable, k: int, m: int | str = "auto",
@@ -292,17 +327,21 @@ def basis_from_factors(raw: FactorTable, k: int, m: int | str = "auto",
     graph = build_graph(standardize(raw), k)
     labels = connected_components(graph.adjacency)
     lap = laplacian(graph)
-    eig = symmetric_eigen(lap, vectors=vectors)
-    nonnull = eig.eigenvalues[eig.eigenvalues > NULL_SPACE_TOL]
-    m_used = choose_m(nonnull, m)
-    basis = spectral_basis(eig, labels, m_used) if vectors else None
+    eigenvalues, eigenvectors = symmetric_eigen(lap, vectors=vectors)
+    # Ascending, so the eigenvalues <= NULL_SPACE_TOL (one per connected
+    # component) come first and the basis takes the m after them.
+    n_null = int(np.count_nonzero(eigenvalues <= NULL_SPACE_TOL))
+    m_used = choose_m(eigenvalues[n_null:], m)
+    chosen = slice(n_null, n_null + m_used)
+    basis = (spectral_basis(eigenvectors[:, chosen], eigenvalues[chosen], labels)
+             if vectors else None)
     info = {
         "graph": graph,
-        "eigenvalues": eig.eigenvalues,
-        "n_null": int(np.sum(eig.eigenvalues <= NULL_SPACE_TOL)),
+        "eigenvalues": eigenvalues,
+        "n_null": n_null,
         "n_components": int(labels.max()) + 1,
         "m_used": m_used,
-        "basis_eigenvalues": nonnull[:m_used],
+        "basis_eigenvalues": eigenvalues[chosen],
         "laplacian": lap,
     }
     return basis, info

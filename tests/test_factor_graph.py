@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from specweight.errors import DataError
 from specweight.factor_graph import (
+    NULL_SPACE_TOL,
     FactorTable,
     basis_from_factors,
     build_graph,
@@ -16,8 +17,8 @@ from specweight.factor_graph import (
     select_m_changepoint,
     spectral_basis,
     standardize,
+    symmetric_eigen,
 )
-from specweight.linalg import symmetric_eigen
 
 
 def table(values, names=None):
@@ -215,7 +216,7 @@ class TestLaplacian:
         rng = np.random.default_rng(4)
         lap = laplacian(build_graph(table(rng.normal(size=(20, 3))), k=4))
         assert np.max(np.abs(lap.sum(axis=1))) < 1e-12
-        assert np.min(symmetric_eigen(lap).eigenvalues) > -1e-10
+        assert np.min(symmetric_eigen(lap)[0]) > -1e-10
 
 
 class TestPeakMemory:
@@ -252,8 +253,7 @@ class TestPeakMemory:
         assert self.peak(lambda: symmetric_eigen(chain[2], vectors=False)) <= 0.5
 
     def test_eigenvectors_signed_in_place(self, chain):
-        # LAPACK's output and one |v| for the sign rule; a separately signed
-        # copy of the vectors would add a third array
+        # LAPACK's output; the sign rule runs later, on the m basis columns
         assert self.peak(lambda: symmetric_eigen(chain[2])) <= 2.5
 
 
@@ -261,31 +261,47 @@ class TestSpectralBasis:
     def test_two_node_single_basis(self):
         g = build_graph(table([[0.0], [1.0]]), k=1)
         lap = laplacian(g)
-        basis = spectral_basis(symmetric_eigen(lap), connected_components(lap), m=1)
+        lam, v = symmetric_eigen(lap)
+        basis = spectral_basis(v[:, 1:], lam[1:], connected_components(lap))
         assert np.allclose(basis.basis[:, 0], [1 / np.sqrt(2), -1 / np.sqrt(2)], atol=1e-12)
         assert np.allclose(basis.eigenvalues, [2 * g.adjacency[0, 1]], atol=1e-12)
 
     def test_m_zero_empty(self):
         lap = laplacian(build_graph(table([[0.0], [1.0]]), k=1))
-        basis = spectral_basis(symmetric_eigen(lap), connected_components(lap), m=0)
+        lam, v = symmetric_eigen(lap)
+        basis = spectral_basis(v[:, 1:1], lam[1:1], connected_components(lap))
         assert basis.m_count == 0 and basis.basis.shape == (2, 0)
 
     def test_disconnected_two_null_eigenvalues(self):
         # two far clusters, k=1: block-diagonal Laplacian, one null mode each
         t = table([[0.0], [1.0], [100.0], [101.0]])
         lap = laplacian(build_graph(t, k=1))
-        eig = symmetric_eigen(lap)
+        lam, v = symmetric_eigen(lap)
         oracle = np.linalg.eigvalsh(lap)  # independent eigenstructure check
-        assert np.allclose(eig.eigenvalues, oracle, atol=1e-10)
-        assert np.sum(eig.eigenvalues <= 1e-8) == 2
-        basis = spectral_basis(eig, connected_components(lap), m=2)
+        assert np.allclose(lam, oracle, atol=1e-10)
+        assert np.sum(lam <= 1e-8) == 2
+        basis = spectral_basis(v[:, 2:], lam[2:], connected_components(lap))
         assert basis.m_count == 2
         assert np.all(basis.eigenvalues > 1e-8)
+        assert np.max(np.abs(basis.basis.sum(axis=0))) < 1e-12
 
     def test_m_exceeding_available_raises(self):
         lap = laplacian(build_graph(table([[0.0], [1.0], [2.0]]), k=1))
+        lam, _ = symmetric_eigen(lap, vectors=False)
         with pytest.raises(DataError, match="requested 5 eigenbases but only 2 non-null"):
-            spectral_basis(symmetric_eigen(lap), connected_components(lap), m=5)
+            choose_m(lam[lam > NULL_SPACE_TOL], 5)
+
+    def test_applied_by_spectral_basis(self):
+        # three far clusters at k=1: the eigenvectors of one cluster are
+        # exact zeros on the others, and a column flipped by the sign rule
+        # must still write them as +0.0
+        t = table([[0.0], [1.0], [2.5], [100.0], [101.0], [102.5], [200.0], [201.0]])
+        basis, _ = basis_from_factors(t, k=1, m=4)
+        e = basis.basis
+        lead = np.argmax(np.abs(e), axis=0)
+        assert np.all(e[lead, np.arange(4)] > 0)
+        zeros = e[e == 0.0]
+        assert zeros.size > 0 and not np.signbit(zeros).any()
 
     def test_orthonormal_zero_sum(self, small_basis):
         basis, _ = small_basis
@@ -305,9 +321,9 @@ class TestSpectralBasis:
         g = build_graph(t, k=1)
         labels = connected_components(g.adjacency > 0)
         lap = laplacian(g)
-        eig = symmetric_eigen(lap)
+        lam, _ = symmetric_eigen(lap)
         assert labels.max() + 1 == 3
-        assert np.sum(eig.eigenvalues <= 1e-8) == 3
+        assert np.sum(lam <= 1e-8) == 3
 
     def test_components_labelled_from_adjacency(self):
         # two clusters: labels numbered by lowest member, the Laplacian's
