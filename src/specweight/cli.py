@@ -19,7 +19,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import asdict, is_dataclass, replace
+from dataclasses import asdict, is_dataclass
 from pathlib import Path
 from typing import get_type_hints
 
@@ -119,7 +119,8 @@ def _settings(cls) -> dict:
 
 def _build(cls, cfg: dict):
     """Dataclass `cls` with each field whose config key is in `cfg` set from
-    it; the other fields keep their defaults."""
+    it; the other fields keep their defaults. A ValueError from the
+    dataclass's own checks (TrainConfig's) is a usage error."""
     kwargs = {}
     for name, hint in get_type_hints(cls).items():
         key = _ALIASES.get(name, name)
@@ -127,7 +128,10 @@ def _build(cls, cfg: dict):
             kwargs[name] = _build(hint, cfg)
         elif key in cfg:
             kwargs[name] = cfg[key]
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _effective(args, settings: dict) -> dict:
@@ -291,7 +295,7 @@ def cmd_sweep(args) -> int:
     if not k_values or not c_values:
         raise _UsageError("k and c grids must be non-empty")
     for c in c_values:  # TrainConfig checks each centering value before the cohort is read
-        replace(base_cfg, centering_c=c)
+        _build(tr.TrainConfig, {**cfg, "c": c})
     data, factors = read_cohort_csv(args.cohort)
     cells = ev.sweep(data, factors, base_cfg, k_values, c_values, n_folds=cfg["folds"])
     out = _out_dir(args.out)
@@ -364,9 +368,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 def entrypoint() -> None:

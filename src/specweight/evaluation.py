@@ -188,48 +188,41 @@ def format_mean_std(values) -> str:
     return f"{100.0 * arr.mean():.1f} ± {100.0 * arr.std():.1f}"
 
 
+def fold_job(data: CohortDataset, cfg: tr.TrainConfig, folds: np.ndarray, fold: int,
+             basis: SpectralBasis | None = None, model_factory=tr.default_model_factory):
+    """(probs, weights, manifest, model) of test fold `fold` of `folds`: the
+    final model's full-cohort pass (`TrainResult.probs`), the scheme's weight
+    of every sample, the fold's manifest and the model, trained under the
+    fold's derived seed on the other folds' rows. Inputs and result pickle."""
+    fold_cfg = replace(cfg, seed=derive_seed(cfg.seed, "fold", fold))
+    split = (np.flatnonzero(folds != fold), np.flatnonzero(folds == fold))
+    result = tr.train(data, fold_cfg, split, basis, model_factory)
+    history = result.history
+    manifest = {"fold": fold, "scheme": cfg.scheme, "seed": fold_cfg.seed,
+                "config": dict(vars(cfg)), "initial_objective": history.initial_objective,
+                "final_objective": history.final_objective, "epoch_losses": history.epoch_losses,
+                "blas_threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARS}}
+    return result.probs, result.weights, manifest, result.model
+
+
 def cross_validate(data: CohortDataset, factors: FactorTable | None, cfg: tr.TrainConfig,
                    n_folds: int = DEFAULT_FOLDS, model_factory=tr.default_model_factory,
                    basis: SpectralBasis | None = None) -> CVRun:
-    """Train and score one scheme across stratified folds.
+    """Train and score one scheme across stratified folds, one `fold_job`
+    per fold.
 
     The factor graph and its basis cover all samples and are built once; only
-    the train/test partition changes per fold. Each fold trains under its own
-    derived seed and is scored by the one full-cohort pass its training run
-    ends with (`TrainResult.probs`, chunked by visit count), with no second
-    forward pass.
+    the train/test partition changes per fold.
     """
-    labels = data.labels
-    needs_graph = cfg.scheme in ("spectral", "only_graph")
-    if needs_graph and basis is None:
+    if cfg.scheme in ("spectral", "only_graph") and basis is None:
         if factors is None:
             raise ValueError(f"scheme {cfg.scheme} requires a factor table")
         basis, _ = basis_from_factors(factors, cfg.k_neighbors, cfg.m_basis)
-
-    folds = stratified_kfold(labels, n_folds, derive_seed(cfg.seed, "folds"))
-    probs, weights, manifests, models = [], [], [], []
-    blas_threads = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
-
-    for fold in range(n_folds):
-        fold_cfg = replace(cfg, seed=derive_seed(cfg.seed, "fold", fold))
-        split = (np.flatnonzero(folds != fold), np.flatnonzero(folds == fold))
-
-        result = tr.train(data, fold_cfg, split, basis, model_factory)
-        probs.append(result.probs)
-        weights.append(result.weights)
-        models.append(result.model)
-        manifests.append({
-            "fold": fold,
-            "scheme": cfg.scheme,
-            "seed": fold_cfg.seed,
-            "config": dict(vars(cfg)),
-            "initial_objective": result.history.initial_objective,
-            "final_objective": result.history.final_objective,
-            "epoch_losses": result.history.epoch_losses,
-            "blas_threads": blas_threads,
-        })
-    return CVRun(cfg.scheme, cfg.seed, folds, labels, np.array(probs), np.array(weights),
-                 manifests, models)
+    folds = stratified_kfold(data.labels, n_folds, derive_seed(cfg.seed, "folds"))
+    probs, weights, manifests, models = zip(*[
+        fold_job(data, cfg, folds, fold, basis, model_factory) for fold in range(n_folds)])
+    return CVRun(cfg.scheme, cfg.seed, folds, data.labels, np.array(probs), np.array(weights),
+                 list(manifests), list(models))
 
 
 # ---------------------------------------------------------------------------

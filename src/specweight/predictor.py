@@ -83,38 +83,45 @@ class RecurrentClassifier:
         h   = (1 - z_t) * g_t + z_t * h
 
     followed by ReLU(W1 h + b1) and a scalar logit W2 (.) + b2. Parameters
-    initialize uniformly in +-1/sqrt(fan_in) from the provided generator.
-    The attributes `wz` ... `b2` are views into one flat float64 vector laid
-    out in checkpoint order, so copying parameters in or out is one copy.
+    are copied from `flat` if given, else drawn uniformly in +-1/sqrt(fan_in)
+    from the provided generator. The attributes `wz` ... `b2` are views into
+    one flat float64 vector laid out in checkpoint order, so copying
+    parameters in or out is one copy. A copied or pickled model is rebuilt
+    from its widths and that vector, so its attributes stay views.
     """
 
     def __init__(self, feature_width: int, hidden: int = 64, fc: int = 32,
-                 rng: np.random.Generator | None = None):
+                 rng: np.random.Generator | None = None, flat: np.ndarray | None = None):
         if feature_width < 1 or hidden < 1 or fc < 1:
             raise ValueError("all layer widths must be >= 1")
         self.feature_width = feature_width
         self.hidden = hidden
         self.fc = fc
-        rng = rng if rng is not None else np.random.default_rng(0)
 
         f, h, k = feature_width, hidden, fc
-        # (name, shape, fan_in) in checkpoint order, which is also the draw order.
+        bf, bh, bk = (1.0 / np.sqrt(fan_in) for fan_in in (f, h, k))
+        # (name, shape, init bound) in checkpoint order, which is also the draw order.
         layout = [
-            ("wz", (h, f), f), ("uz", (h, h), h), ("bz", (h,), h),
-            ("wr", (h, f), f), ("ur", (h, h), h), ("br", (h,), h),
-            ("wh", (h, f), f), ("uh", (h, h), h), ("bh", (h,), h),
-            ("w1", (k, h), h), ("b1", (k,), h), ("w2", (k,), k), ("b2", (1,), k),
+            ("wz", (h, f), bf), ("uz", (h, h), bh), ("bz", (h,), bh),
+            ("wr", (h, f), bf), ("ur", (h, h), bh), ("br", (h,), bh),
+            ("wh", (h, f), bf), ("uh", (h, h), bh), ("bh", (h,), bh),
+            ("w1", (k, h), bh), ("b1", (k,), bh), ("w2", (k,), bk), ("b2", (1,), bk),
         ]
         self._spans, offset = [], 0
         for _, shape, _ in layout:
             size = math.prod(shape)
             self._spans.append((slice(offset, offset + size), shape))
             offset += size
+        if flat is None:
+            rng = rng if rng is not None else np.random.default_rng(0)
+            flat = np.concatenate([rng.uniform(-b, b, math.prod(shape)) for _, shape, b in layout])
         self._flat = np.empty(offset)
-        for (name, shape, fan_in), view in zip(layout, self._views(self._flat)):
-            bound = 1.0 / np.sqrt(fan_in)
-            view[...] = rng.uniform(-bound, bound, size=shape)
+        self.set_flat_params(flat)
+        for (name, _, _), view in zip(layout, self._views(self._flat)):
             setattr(self, name, view)
+
+    def __reduce__(self):
+        return type(self), (self.feature_width, self.hidden, self.fc, None, self._flat)
 
     def _views(self, flat: np.ndarray) -> list[np.ndarray]:
         """One view of `flat` per parameter array, in checkpoint order."""
@@ -312,7 +319,4 @@ def load_checkpoint(path) -> RecurrentClassifier:
     if min(f, h, k) < 1 or count != 3 * h * (f + h + 1) + k * (h + 2) + 1:
         raise ValueError(f"checkpoint header inconsistent: widths {f}, {h}, {k} "
                          f"with {count} parameters")
-    flat = np.frombuffer(blob, dtype="<f8", offset=4 + header)
-    model = RecurrentClassifier(f, h, k, rng=np.random.default_rng(0))
-    model.set_flat_params(flat.astype(np.float64))
-    return model
+    return RecurrentClassifier(f, h, k, flat=np.frombuffer(blob, dtype="<f8", offset=4 + header))

@@ -768,6 +768,36 @@ class TestExitPaths:
         assert message in proc.stderr
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--lr-model", "0"], "learning rates must be positive (lr_a may be 0)"),
+        (["train", "--jtt-lambda", "0.5"], "jtt_lambda must be >= 1"),
+        (["train", "--batch", "0"], "batch_size must be >= 1"),
+        (["sweep", "--epochs", "0"], "epochs must be >= 1"),
+        (["sweep", "--lr-a", "-1"], "learning rates must be positive (lr_a may be 0)"),
+        (["sweep", "--c", "0.5,1,-inf"], "centering_c must be finite, got -inf"),
+    ])
+    def test_train_config_check_is_usage_error_before_reading(self, tmp_path, capsys, argv,
+                                                              message):
+        rc = main([*argv, "--cohort", str(tmp_path / "absent.csv"),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_value_error_inside_the_pipeline_is_no_usage_error(self, cohort_dir, tmp_path,
+                                                                 monkeypatch, capsys):
+        """Only argument-shaped errors exit 1. A ValueError raised past the
+        settings checks is a fault of the program, not of the command line,
+        so main lets it propagate."""
+        def fail(*args, **kwargs):
+            raise ValueError("fault inside the pipeline")
+
+        monkeypatch.setattr(ev, "cross_validate", fail)
+        with pytest.raises(ValueError, match="fault inside the pipeline"):
+            main(["train", "--cohort", str(cohort_dir / "cohort.csv"),
+                  "--out", str(tmp_path), "--epochs", "1"])
+        assert "error:" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("args, message", [
         (["train", "--folds", "10", "--k", "5", "--epochs", "1"],
          "smallest class has 5 samples, fewer than 10 folds"),

@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import logistic_factory, small_gru_factory
+from specweight import evaluation
 from specweight.errors import DataError
 from specweight.evaluation import (
     DEFAULT_C_GRID,
@@ -17,6 +19,7 @@ from specweight.evaluation import (
     cross_validate,
     f1_score,
     factor_subcohort_table,
+    fold_job,
     fold_scores,
     format_mean_std,
     mann_whitney_u,
@@ -24,7 +27,8 @@ from specweight.evaluation import (
     stratified_kfold,
     sweep,
 )
-from specweight.training import TrainConfig
+from specweight.factor_graph import basis_from_factors
+from specweight.training import TrainConfig, default_model_factory, predict
 
 
 def confusion_vectors(tp, fp, tn, fn):
@@ -436,6 +440,81 @@ class TestCrossValidateAndSweep:
                       n_folds=5, model_factory=logistic_factory)
         assert [(c.gap_points, c.overall_bacc) for c in cells] == \
                [(c.gap_points, c.overall_bacc) for c in again]
+
+
+class TestFoldJob:
+    """`fold_job` is the one path from `cross_validate` and `sweep` to a
+    trained fold, and a job and its result survive pickling."""
+
+    @pytest.fixture
+    def job_calls(self, monkeypatch):
+        calls = []
+        real = evaluation.fold_job
+
+        def counted(*args, **kwargs):
+            calls.append(args[3])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "fold_job", counted)
+        return calls
+
+    @pytest.mark.parametrize("scheme", ["spectral", "jtt"])
+    def test_cross_validate_runs_one_job_per_fold(self, tiny_cohort, job_calls, scheme):
+        # jtt's train call recurses for stage one; the fold is still one job.
+        data, factors, _ = tiny_cohort
+        cfg = TrainConfig(scheme=scheme, epochs=1, lr_model=5e-2, batch_size=16,
+                          k_neighbors=8, m_basis=4, seed=2)
+        cross_validate(data, factors, cfg, n_folds=4, model_factory=logistic_factory)
+        assert job_calls == [0, 1, 2, 3]
+
+    def test_sweep_runs_one_job_per_cell_and_fold(self, tiny_cohort, job_calls):
+        data, factors, _ = tiny_cohort
+        cfg = TrainConfig(epochs=1, lr_model=5e-2, batch_size=16, m_basis=3, seed=5)
+        sweep(data, factors, cfg, k_values=(5, 10), c_values=(0.5, 0.65, 1.0), n_folds=3,
+              model_factory=logistic_factory)
+        assert job_calls == [0, 1, 2] * (2 * 3)
+
+    @pytest.mark.parametrize("scheme", ["spectral", "none", "only_graph", "jtt"])
+    def test_each_job_returns_what_cross_validate_keeps(self, tiny_cohort, scheme):
+        data, factors, _ = tiny_cohort
+        cfg = TrainConfig(scheme=scheme, epochs=1, lr_model=5e-2, lr_a=1e-3, batch_size=16,
+                          k_neighbors=8, m_basis=4, seed=8)
+        run = cross_validate(data, factors, cfg, n_folds=3, model_factory=logistic_factory)
+        basis = basis_from_factors(factors, 8, 4)[0] if scheme in ("spectral", "only_graph") \
+            else None
+        for fold in range(3):
+            probs, weights, manifest, model = fold_job(data, cfg, run.folds, fold, basis,
+                                                       logistic_factory)
+            assert np.array_equal(probs, run.probs[fold])
+            assert np.array_equal(weights, run.weights[fold], equal_nan=True)
+            assert manifest == run.manifests[fold]
+            assert list(manifest) == ["fold", "scheme", "seed", "config", "initial_objective",
+                                      "final_objective", "epoch_losses", "blas_threads"]
+            assert np.array_equal(model.flat_params(), run.models[fold].flat_params())
+
+    @pytest.mark.parametrize("scheme", ["spectral", "jtt"])
+    def test_job_and_result_round_trip_through_pickle(self, tiny_cohort, scheme):
+        """The job's inputs, pickled and loaded in this process, give the same
+        result bit for bit; so does that result, pickled and loaded, and its
+        GRU still predicts the same probabilities."""
+        data, factors, _ = tiny_cohort
+        cfg = TrainConfig(scheme=scheme, epochs=1, batch_size=16, k_neighbors=8, m_basis=4,
+                          seed=4)
+        folds = stratified_kfold(data.labels, 3, seed=1)
+        basis = basis_from_factors(factors, 8, 4)[0] if scheme == "spectral" else None
+        job = (data, cfg, folds, 1, basis, default_model_factory)
+        direct = fold_job(*job)
+        sent = fold_job(*pickle.loads(pickle.dumps(job)))
+        back = pickle.loads(pickle.dumps(sent))
+        for result in (sent, back):
+            for got, want in zip(result[:2], direct[:2], strict=True):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert result[2] == direct[2]
+            assert result[3].flat_params().tobytes() == direct[3].flat_params().tobytes()
+            rows = np.arange(data.n_samples)
+            assert predict(data, result[3], rows, 16).tobytes() == direct[0].tobytes()
+        back[3].set_flat_params(np.zeros(back[3].n_params))
+        assert np.all(predict(data, back[3], rows, 16) == 0.5)
 
 
 def test_format_mean_std():

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import struct
 
 import numpy as np
@@ -329,6 +331,43 @@ class TestStackedKernel:
         flat[:] = 0.0
         assert np.any(m.flat_params() != 0.0)
         assert np.any(m.wz != 0.0)
+
+
+class TestCopiedModel:
+    """A deep copy, a pickle round trip and a checkpoint load each give a
+    model whose named arrays view its own flat vector."""
+
+    @staticmethod
+    def copies(model, tmp_path):
+        save_checkpoint(model, tmp_path / "model.bin")
+        return {"deepcopy": copy.deepcopy(model),
+                "pickle": pickle.loads(pickle.dumps(model)),
+                "checkpoint": load_checkpoint(tmp_path / "model.bin")}
+
+    def test_named_arrays_view_the_flat_vector(self, tmp_path):
+        model = RecurrentClassifier(3, 4, rng=np.random.default_rng(31))
+        batch = [np.full((2, 3), 0.4), np.full((1, 3), -0.7)]
+        before = model.forward(batch)[0]
+        for how, twin in self.copies(model, tmp_path).items():
+            assert np.array_equal(twin.flat_params(), model.flat_params()), how
+            assert np.array_equal(twin.forward(batch)[0], before), how
+            assert all(np.shares_memory(getattr(twin, name), twin._flat)
+                       for name in CHECKPOINT_ORDER), how
+            assert not np.shares_memory(twin._flat, model._flat), how
+            twin.set_flat_params(np.zeros(twin.n_params))
+            assert np.array_equal(twin.forward(batch)[0], [0.5, 0.5]), how
+            assert np.array_equal(model.forward(batch)[0], before), how
+
+    def test_checkpoint_load_draws_no_initialization(self, tmp_path, monkeypatch):
+        model = RecurrentClassifier(3, 4, rng=np.random.default_rng(32))
+        save_checkpoint(model, tmp_path / "model.bin")
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew a random initialization")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        assert np.array_equal(load_checkpoint(tmp_path / "model.bin").flat_params(),
+                              model.flat_params())
 
 
 class TestCheckpoint:
