@@ -251,16 +251,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_report(args) -> int:
-    run_dir = Path(args.run)
-    run, _, factor_names, factor_values, _ = load_run(run_dir)
+    run, _, factor_names, factor_values, _ = load_run(args.run)
     rows, folds, y, prob, w = run.pooled_test()
-    try:
-        bacc, f1, gap, tables = ev.pooled_analysis(folds, y, prob, w, factor_values[rows],
-                                                   factor_names, run.n_folds)
-    except ValueError as exc:
-        raise DataError(f"{run_dir / 'predictions.csv'}: {exc}") from None
+    bacc, f1, gap, tables = ev.pooled_analysis(folds, y, prob, w, factor_values[rows],
+                                               factor_names, run.n_folds)
 
-    out = _out_dir(args.out) if args.out else run_dir
+    out = _out_dir(args.out or args.run)
     for table in tables:
         write_csv(out / f"subcohorts_{table.factor}.csv", ["group", "n", "mean_weight", "bacc"],
                   [[g.label, g.n, g.mean_weight, "" if g.bacc is None else g.bacc]
@@ -367,6 +363,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     except OSError as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError as exc:
+        print(f"data error: out of memory: {exc}", file=sys.stderr)
         return EXIT_DATA
 
 

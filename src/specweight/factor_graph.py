@@ -126,8 +126,9 @@ def standardize(raw: FactorTable) -> FactorTable:
 
     Computed over the full cohort in one pass, so the graph does not depend on
     any train/test split. Constant columns carry no similarity information and
-    map to all zeros. A column whose mean or variance overflows float64 is a
-    DataError naming the factor, not a column of zeros.
+    map to exact +0.0, even where their mean misses their value by an ulp. A
+    column whose mean or variance overflows float64 is a DataError naming the
+    factor, not a column of zeros.
     """
     if raw.n_samples < 2:
         raise DataError("standardization needs at least 2 samples")
@@ -141,7 +142,8 @@ def standardize(raw: FactorTable) -> FactorTable:
         raise DataError(f"factor {name!r}: its mean or variance overflows float64; "
                         "rescale the column")
     centered = values - mean
-    out = np.divide(centered, std, out=np.zeros_like(centered), where=std > 0.0)
+    varies = np.any(values != values[0], axis=0) & (std > 0.0)
+    out = np.divide(centered, std, out=np.zeros_like(centered), where=varies)
     return FactorTable(out, raw.factor_names)
 
 
@@ -260,10 +262,10 @@ def choose_m(values: np.ndarray, m: int | str = "auto") -> int:
     of values. A negative or non-integer m is a ValueError.
     """
     if m == "auto":
-        try:
-            return select_m_changepoint(values)
-        except ValueError as exc:
-            raise DataError(f"m='auto': {exc}; set m explicitly") from None
+        if values.shape[0] < 2:
+            raise DataError("m='auto': change-point selection needs at least 2 non-null "
+                            "eigenvalues; set m explicitly")
+        return select_m_changepoint(values)
     if not isinstance(m, (int, np.integer)) or isinstance(m, bool):
         raise ValueError(f"m must be an integer or 'auto', got {m!r}")
     m = int(m)
@@ -323,8 +325,15 @@ def basis_from_factors(raw: FactorTable, k: int, m: int | str = "auto",
     With vectors=False the Laplacian is solved for eigenvalues only and no
     basis is built: basis is None, and info is filled from that spectrum,
     which agrees with the full solve's to rounding.
+
+    A table in which no factor varies is a DataError: every distance would be
+    0, and each sample's neighbours would be the first rows of the table.
     """
-    graph = build_graph(standardize(raw), k)
+    factors = standardize(raw)
+    if not factors.values.any():
+        raise DataError(f"no factor column varies across the {raw.n_samples} samples; "
+                        "the factor graph needs at least one that does")
+    graph = build_graph(factors, k)
     labels = connected_components(graph.adjacency)
     lap = laplacian(graph)
     eigenvalues, eigenvectors = symmetric_eigen(lap, vectors=vectors)

@@ -87,10 +87,10 @@ def load_run(run_dir):
     """(CVRun, subject ids, factor names, factor values, summary) of a run
     directory, with one factor row per subject. A subject's index is its
     first appearance in predictions.csv, where it needs exactly one test row
-    and at most one train row per fold; weights.csv holds at most one row per
-    (fold, subject). Each (fold, subject) entry the files do not hold is NaN. A file that
-    breaks the format is a DataError naming it. Manifests and checkpoints
-    are not read.
+    and at most one train row per fold, and each fold needs test rows of both
+    classes; weights.csv holds at most one row per (fold, subject). Each
+    (fold, subject) entry the files do not hold is NaN. A file that breaks the
+    format is a DataError naming it. Manifests and checkpoints are not read.
     """
     run_dir = Path(run_dir)
     summary = _read_run_summary(run_dir / "run_summary.json")
@@ -125,6 +125,11 @@ def load_run(run_dir):
 
     folds, labels = np.empty((2, len(index)), dtype=np.int64)
     folds[row[test]], labels[row[test]] = fold[test], np.array(y)[test]
+    by_class = np.bincount(2 * folds + labels, minlength=2 * n_folds).reshape(n_folds, 2)
+    f = int(np.argmin(by_class.min(axis=1)))
+    if by_class[f].min() == 0:
+        raise DataError(f"{run_dir / 'predictions.csv'}: fold {f} has {by_class[f, 0]} class-0 "
+                        f"and {by_class[f, 1]} class-1 test rows; it needs both classes")
     probs, weight = np.full((2, n_folds, len(index)), np.nan)
     probs[fold, row] = prob
     probs[fold[test], row[test]] = np.array(prob)[test]  # a test row wins over a train row

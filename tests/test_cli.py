@@ -798,6 +798,47 @@ class TestExitPaths:
                   "--out", str(tmp_path), "--epochs", "1"])
         assert "error:" not in capsys.readouterr().err
 
+    def test_value_error_inside_report_propagates(self, run_dir, tmp_path, monkeypatch,
+                                                  capsys):
+        """A ValueError from the analysis is a program fault, not a bad run file."""
+        def fail(*args, **kwargs):
+            raise ValueError("fault inside the analysis")
+
+        monkeypatch.setattr(ev, "factor_subcohort_table", fail)
+        with pytest.raises(ValueError, match="fault inside the analysis"):
+            main(["report", "--run", str(run_dir), "--out", str(tmp_path / "out")])
+        assert "error:" not in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_memory_error_is_one_data_error_line(self, tmp_path, monkeypatch, capsys):
+        import specweight.cli as cli
+
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 94.8 GiB")
+
+        monkeypatch.setattr(cli, "generate", refuse)
+        assert main(["synth", "--out", str(tmp_path / "out"), "--max-visits", "1000000000"]) == 2
+        assert capsys.readouterr().err == "data error: out of memory: Unable to allocate 94.8 GiB\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("header, factor", [("", ""), (",f_site", ",3.0")],
+                             ids=["no-factor-column", "constant-factor"])
+    def test_cohort_without_varying_factor(self, tmp_path, capsys, header, factor):
+        """The graph needs a varying factor; schemes that build none still train."""
+        cohort = tmp_path / "cohort.csv"
+        cohort.write_text(f"subject_id,visit,y{header},x_0,x_1\n" + "".join(
+            f"S{i},0,{i % 2}{factor},{0.1 * i},{0.2 * i}\n" for i in range(8)))
+        for argv in (["graph", "--k", "1"], ["train", "--scheme", "spectral", "--epochs", "1"],
+                     ["sweep", "--k", "1", "--c", "0.7", "--folds", "2", "--epochs", "1"]):
+            assert main([*argv, "--cohort", str(cohort), "--out", str(tmp_path / "out")]) == 2
+            assert capsys.readouterr().err == (
+                "data error: no factor column varies across the 8 samples; "
+                "the factor graph needs at least one that does\n")
+            assert not (tmp_path / "out").exists()
+        for scheme in ("none", "jtt"):
+            assert main(["train", "--cohort", str(cohort), "--out", str(tmp_path / scheme),
+                         "--scheme", scheme, "--folds", "2", "--epochs", "1"]) == 0
+
     @pytest.mark.parametrize("args, message", [
         (["train", "--folds", "10", "--k", "5", "--epochs", "1"],
          "smallest class has 5 samples, fewer than 10 folds"),

@@ -391,7 +391,7 @@ class TestCrossValidateAndSweep:
     def test_fold_scores_names_a_one_class_fold(self):
         bacc, f1 = fold_scores([0, 0, 1, 1], [0, 1, 0, 1], [0.2, 0.9, 0.6, 0.1], 2)
         assert bacc.tolist() == [1.0, 0.0] and f1.tolist() == [1.0, 0.0]
-        with pytest.raises(ValueError, match="fold 1 test rows"):
+        with pytest.raises(ValueError, match="balanced accuracy needs both classes among the labels"):
             fold_scores([0, 0, 1, 1], [0, 1, 1, 1], [0.2, 0.9, 0.6, 0.1], 2)
 
     @pytest.mark.parametrize("scheme, trained_models", [

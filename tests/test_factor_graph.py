@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specweight.errors import DataError
@@ -62,13 +62,27 @@ class TestStandardize:
         assert np.all(np.isfinite(out.values))
         assert abs(out.values.std() - 1.0) < 1e-12
 
+    def test_constant_column_is_exact_positive_zero(self):
+        """np.mean of [c] * 5 misses this c by an ulp, so the population std
+        is tiny but positive; the column must still map to +0.0, and a
+        varying column must keep the bits of (x - mean) / std."""
+        constant = [51.560812845968115] * 5
+        varying = np.array([1.0, 2.5, -3.0, 0.25, 7.0])
+        out = standardize(table(np.column_stack([constant, varying]))).values
+        assert np.all(out[:, 0] == 0.0) and not np.any(np.signbit(out[:, 0]))
+        want = (varying - varying.mean()) / varying.std()
+        assert out[:, 1].tobytes() == want.tobytes()
+
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.floats(-100, 100), min_size=4, max_size=40))
+    @example([51.560812845968115] * 5)
     def test_moments(self, column):
         out = standardize(table(np.array(column)[:, None]))
         z = out.values[:, 0]
         assert abs(z.mean()) < 1e-9
-        if np.std(column) > 0:
+        if len(set(column)) == 1:  # np.std of equal values can be an ulp above 0
+            assert not np.any(z)
+        elif np.std(column) > 0:
             assert abs(z.std() - 1.0) < 1e-9
 
 
@@ -391,6 +405,26 @@ class TestValuesOnlyBasis:
     def test_choose_m_argument_errors(self, m, message):
         with pytest.raises(ValueError, match=message):
             choose_m(np.array([0.5, 1.0]), m)
+
+    def test_choose_m_lets_a_selection_fault_propagate(self, monkeypatch):
+        """Only too few eigenvalues is a DataError; a ValueError from inside
+        select_m_changepoint is a fault of the program and is not re-labelled."""
+        import specweight.factor_graph as fg
+
+        def fail(values):
+            raise ValueError("fault inside the selection")
+
+        monkeypatch.setattr(fg, "select_m_changepoint", fail)
+        with pytest.raises(ValueError, match="fault inside the selection"):
+            choose_m(np.array([0.5, 1.0]), "auto")
+
+    @pytest.mark.parametrize("values", [np.zeros((6, 0)), [[3.0, -1.0]] * 6],
+                             ids=["no-column", "constant-columns"])
+    @pytest.mark.parametrize("vectors", [True, False])
+    def test_no_varying_factor_is_data_error(self, values, vectors):
+        """With every distance 0 the neighbours would be the first rows."""
+        with pytest.raises(DataError, match="no factor column varies across the 6 samples"):
+            basis_from_factors(table(values), k=2, m=1, vectors=vectors)
 
     def test_explicit_m_too_large_on_both_paths(self):
         t = table([[0.0], [1.0], [2.0]])

@@ -96,6 +96,16 @@ def first_train_row(rows):
     return rows[next(i for i, r in enumerate(rows) if r[2] == "train")]
 
 
+def one_class_fold_1(rows):
+    """Every test row of fold 1 relabelled as class 1."""
+    return [r[:3] + ["1"] + r[4:] if r[1:3] == ["1", "test"] else r for r in rows]
+
+
+def fold_2_tested_in_fold_0(rows):
+    """Every test row of fold 2 moved to fold 0, which leaves fold 2 none."""
+    return [r[:1] + ["0"] + r[2:] if r[1:3] == ["2", "test"] else r for r in rows]
+
+
 @pytest.mark.parametrize("name, edit, message", [
     ("predictions.csv", lambda rows: rows + [first_test_row(rows)],
      r"predictions.csv: subject 'S\d+' has 2 test rows, expected exactly one"),
@@ -111,8 +121,12 @@ def first_train_row(rows):
      r"weights.csv:\d+: duplicate subject 'S\d+' in fold 0"),
     ("predictions.csv", lambda rows: rows + [first_train_row(rows)],
      r"predictions.csv:\d+: duplicate subject 'S\d+' in fold \d"),
+    ("predictions.csv", one_class_fold_1,
+     r"predictions.csv: fold 1 has 0 class-0 and \d+ class-1 test rows; it needs both classes"),
+    ("predictions.csv", fold_2_tested_in_fold_0,
+     "predictions.csv: fold 2 has 0 class-0 and 0 class-1 test rows; it needs both classes"),
 ], ids=["second-test-row", "no-test-row", "unknown-weight-subject", "nan-weight", "huge-label",
-        "repeated-weight-row", "repeated-train-row"])
+        "repeated-weight-row", "repeated-train-row", "one-class-fold", "fold-without-test-rows"])
 def test_broken_format_is_data_error_naming_the_file(saved_run, tmp_path, capsys, name, edit,
                                                      message):
     _, out, _ = saved_run
