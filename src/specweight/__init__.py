@@ -33,7 +33,7 @@ from .factor_graph import (
     symmetric_eigen,
 )
 from .predictor import LogisticFallback, RecurrentClassifier, bce_loss
-from .synth import NoiseRule, SynthSpec, describe, generate
+from .synth import SynthSpec, describe, generate
 from .training import (
     AdamState,
     TrainConfig,
@@ -51,7 +51,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdamState", "CVRun", "CohortDataset", "FactorGraph",
-    "FactorTable", "LogisticFallback", "NoiseRule", "RecurrentClassifier",
+    "FactorTable", "LogisticFallback", "RecurrentClassifier",
     "SpectralBasis", "Subject", "SynthSpec", "TrainConfig", "WeightField",
     "adam_step", "balanced_accuracy", "basis_from_factors", "bce_loss",
     "build_graph", "cross_validate", "describe", "f1_score", "generate",

@@ -4,12 +4,12 @@ Every command is deterministic given its input files, flags, seed, and BLAS
 thread count. Exit codes: 0 success, 1 usage error, 2 data error, 3
 numerical failure.
 
-Settings are dataclass fields (`SynthSpec`'s for synth, `TrainConfig`'s for
-graph, train and sweep), renamed by `_ALIASES`, plus the CLI-only `folds`,
-`k_grid` and `c_grid`. A flat key=value config file (# comments allowed) sets
-them by key, and the flag `--<key>` overrides it; sweep's `--k` and `--c` set
-`k_grid` and `c_grid`. graph takes only `k`, `m` and `seed`, and `seed`
-changes nothing: graph draws no random numbers.
+Settings are the fields of a flat dataclass (`SynthSpec`'s for synth,
+`TrainConfig`'s for graph, train and sweep), renamed by `_ALIASES`, plus the
+CLI-only `folds`, `k_grid` and `c_grid`. A flat key=value config file
+(# comments allowed) sets them by key, and the flag `--<key>` overrides it;
+sweep's `--k` and `--c` set `k_grid` and `c_grid`. graph takes only `k` and
+`m`. A value that a dataclass's own checks reject is a usage error.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import asdict, is_dataclass
+from dataclasses import asdict
 from pathlib import Path
 from typing import get_type_hints
 
@@ -90,8 +90,7 @@ def _parse_grid(text: str, cast):
 
 
 # Config keys (and flags) that differ from the dataclass field they set.
-_ALIASES = {"batch_size": "batch", "k_neighbors": "k", "centering_c": "c", "m_basis": "m",
-            "factor": "noise_factor", "threshold": "noise_threshold"}
+_ALIASES = {"batch_size": "batch", "k_neighbors": "k", "centering_c": "c", "m_basis": "m"}
 # A field's cast follows from its annotation; fields of any other type
 # (SynthSpec.factors) are not settings.
 _CASTS = {int: int, float: float, str: str, int | str: _parse_m}
@@ -107,29 +106,19 @@ def _flag(key: str) -> str:
 
 def _settings(cls) -> dict:
     """Config key -> (default, cast) for each settable field of dataclass
-    `cls`, in field order, with a nested dataclass's fields in its place."""
-    out, default = {}, cls()
-    for name, hint in get_type_hints(cls).items():
-        if is_dataclass(hint):
-            out.update(_settings(hint))
-        elif hint in _CASTS:
-            out[_ALIASES.get(name, name)] = (getattr(default, name), _CASTS[hint])
-    return out
+    `cls`, in field order."""
+    default = cls()
+    return {_ALIASES.get(name, name): (getattr(default, name), _CASTS[hint])
+            for name, hint in get_type_hints(cls).items() if hint in _CASTS}
 
 
 def _build(cls, cfg: dict):
     """Dataclass `cls` with each field whose config key is in `cfg` set from
     it; the other fields keep their defaults. A ValueError from the
-    dataclass's own checks (TrainConfig's) is a usage error."""
-    kwargs = {}
-    for name, hint in get_type_hints(cls).items():
-        key = _ALIASES.get(name, name)
-        if is_dataclass(hint):
-            kwargs[name] = _build(hint, cfg)
-        elif key in cfg:
-            kwargs[name] = cfg[key]
+    dataclass's own checks is a usage error."""
+    keys = {name: _ALIASES.get(name, name) for name in get_type_hints(cls)}
     try:
-        return cls(**kwargs)
+        return cls(**{name: cfg[key] for name, key in keys.items() if key in cfg})
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
 
@@ -186,7 +175,7 @@ def _train_settings() -> dict:
 
 _SYNTH = _settings(SynthSpec)
 _TRAIN = _train_settings()
-_GRAPH = {key: _TRAIN[key] for key in ("k", "m", "seed")}
+_GRAPH = {key: _TRAIN[key] for key in ("k", "m")}
 _SWEEP = {"k_grid": (ev.DEFAULT_K_GRID, lambda text: _parse_grid(text, int)),
           "c_grid": (ev.DEFAULT_C_GRID, lambda text: _parse_grid(text, float)),
           **{key: _TRAIN[key] for key in ("epochs", "lr_model", "lr_a", "batch", "folds",
@@ -321,9 +310,7 @@ def build_parser() -> _Parser:
     p_graph = sub.add_parser("graph", help="build the factor graph and its basis")
     p_graph.add_argument("--cohort", required=True)
     p_graph.add_argument("--out", required=True)
-    _add_settings(p_graph, _GRAPH, {
-        "seed": "accepted, but graph draws no random numbers, so the seed does not "
-                "change its output"})
+    _add_settings(p_graph, _GRAPH)
     p_graph.add_argument("--dump-graph", action="store_true")
 
     p_train = sub.add_parser("train", help="cross-validated weighted training")

@@ -43,6 +43,12 @@ def _label(text: str) -> int:
     return int(text)
 
 
+def _split(text: str) -> str:
+    if text not in ("train", "test"):
+        raise ValueError(f"split must be train or test, got {text!r}")
+    return text
+
+
 def _finite(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -86,19 +92,20 @@ def save_run(out: Path, run: CVRun, subject_ids, factors, cfg: dict, cohort):
 def load_run(run_dir):
     """(CVRun, subject ids, factor names, factor values, summary) of a run
     directory, with one factor row per subject. A subject's index is its
-    first appearance in predictions.csv, where it needs exactly one test row
-    and at most one train row per fold, and each fold needs test rows of both
-    classes; weights.csv holds at most one row per (fold, subject). Each
-    (fold, subject) entry the files do not hold is NaN. A file that breaks the
-    format is a DataError naming it. Manifests and checkpoints are not read.
+    first appearance in predictions.csv, where it needs exactly one test row,
+    and each fold needs test rows of both classes. Each file holds at most one
+    row per (fold, subject), whose split is train or test, and a weights.csv
+    row's split agrees with predictions.csv. Each (fold, subject) entry the
+    files do not hold is NaN. A file that breaks the format is a DataError
+    naming it. Manifests and checkpoints are not read.
     """
     run_dir = Path(run_dir)
     summary = _read_run_summary(run_dir / "run_summary.json")
     _, preds = read_table(run_dir / "predictions.csv",
-                          fixed_header(PREDICTIONS, [str, int, str, _label, float]),
-                          key=lambda row: _subject_fold(row) if row[2] == "train" else None)
-    _, weights = read_table(run_dir / "weights.csv", fixed_header(WEIGHTS, [str, int, str, _finite]),
-                            key=_subject_fold)
+                          fixed_header(PREDICTIONS, [str, int, _split, _label, float]),
+                          key=_subject_fold)
+    _, weights = read_table(run_dir / "weights.csv",
+                            fixed_header(WEIGHTS, [str, int, _split, _finite]), key=_subject_fold)
     header, factor_columns = read_table(run_dir / "factors.csv", _factor_casts, key=by_subject)
     factor_names = [c[2:] for c in header[1:]]
     factors_by_id = {sid: values for sid, *values in zip(*factor_columns)}
@@ -130,10 +137,17 @@ def load_run(run_dir):
     if by_class[f].min() == 0:
         raise DataError(f"{run_dir / 'predictions.csv'}: fold {f} has {by_class[f, 0]} class-0 "
                         f"and {by_class[f, 1]} class-1 test rows; it needs both classes")
+    weight_row = np.array([index[sid] for sid in weights[0]], dtype=np.int64)
+    wrong = np.flatnonzero((folds[weight_row] == weights[1])
+                           != (np.array(weights[2], dtype=str) == "test"))
+    if wrong.size:
+        i = wrong[0]
+        raise DataError(f"{run_dir / 'weights.csv'}: subject {weights[0][i]!r} in fold "
+                        f"{weights[1][i]} is split {weights[2][i]!r}, but predictions.csv "
+                        f"tests it in fold {folds[weight_row[i]]}")
     probs, weight = np.full((2, n_folds, len(index)), np.nan)
     probs[fold, row] = prob
-    probs[fold[test], row[test]] = np.array(prob)[test]  # a test row wins over a train row
-    weight[weights[1], [index[sid] for sid in weights[0]]] = weights[3]
+    weight[weights[1], weight_row] = weights[3]
     run = CVRun(summary["scheme"], summary["seed"], folds, labels, probs, weight)
 
     order, test_fold, _, _, test_weight = run.pooled_test()

@@ -4,17 +4,18 @@ Stands in for restricted clinical cohorts in end-to-end tests: subjects carry
 auxiliary factors, a latent binary outcome drives a Gaussian feature signal
 along a fixed direction, and the observed label is a noisy copy whose flip
 probability depends on one factor. That gives a known ground truth for which
-sub-cohort is intrinsically harder to predict.
+sub-cohort is intrinsically harder to predict. Every setting is a
+`SynthSpec` field, and each check raises `ValueError`, which the command line
+reports as a usage error.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import CohortDataset, Subject
-from .errors import DataError
 from .factor_graph import FactorTable
 from .seeding import rng_for
 
@@ -22,22 +23,11 @@ FACTOR_KINDS = ("binary", "continuous")
 
 
 @dataclass(frozen=True)
-class NoiseRule:
-    """Label-flip probabilities keyed to one factor's sign."""
-
-    factor: str = "group"
-    threshold: float = 0.0
-    flip_above: float = 0.05
-    flip_at_or_below: float = 0.40
-
-    def __post_init__(self):
-        for p in (self.flip_above, self.flip_at_or_below):
-            if not 0.0 <= p < 0.5:
-                raise DataError(f"flip probabilities must lie in [0, 0.5), got {p}")
-
-
-@dataclass(frozen=True)
 class SynthSpec:
+    """A cohort's size, factors and label noise: a label flips with
+    probability `flip_above` where the `noise_factor` value is above
+    `noise_threshold`, and with `flip_at_or_below` elsewhere."""
+
     n_subjects: int = 400
     feature_width: int = 20
     min_visits: int = 1
@@ -47,33 +37,34 @@ class SynthSpec:
         ("score_a", "continuous"),
         ("score_b", "continuous"),
     )
-    noise: NoiseRule = field(default_factory=NoiseRule)
+    noise_factor: str = "group"
+    noise_threshold: float = 0.0
+    flip_above: float = 0.05
+    flip_at_or_below: float = 0.40
     signal_strength: float = 1.0
     drift_scale: float = 0.05
     seed: int = 0
 
     def __post_init__(self):
+        for p in (self.flip_above, self.flip_at_or_below):
+            if not 0.0 <= p < 0.5:
+                raise ValueError(f"flip probabilities must lie in [0, 0.5), got {p}")
         if self.n_subjects < 2:
-            raise DataError("n_subjects must be >= 2")
+            raise ValueError("n_subjects must be >= 2")
         if self.feature_width < 2:
-            raise DataError("feature_width must be >= 2")
+            raise ValueError("feature_width must be >= 2")
         if self.min_visits < 1 or self.max_visits < self.min_visits:
-            raise DataError("visit range must satisfy 1 <= min <= max")
+            raise ValueError("visit range must satisfy 1 <= min <= max")
         names = [name for name, _ in self.factors]
         if len(set(names)) != len(names) or not names:
-            raise DataError("factor names must be unique and non-empty")
+            raise ValueError("factor names must be unique and non-empty")
         for name, kind in self.factors:
             if kind not in FACTOR_KINDS:
-                raise DataError(f"factor {name}: kind must be one of {FACTOR_KINDS}")
-        if self.noise.factor not in names:
-            raise DataError(f"noise factor {self.noise.factor!r} is not a declared factor")
+                raise ValueError(f"factor {name}: kind must be one of {FACTOR_KINDS}")
+        if self.noise_factor not in names:
+            raise ValueError(f"noise factor {self.noise_factor!r} is not a declared factor")
         if self.signal_strength < 0.0 or self.drift_scale < 0.0:
-            raise DataError("signal_strength and drift_scale must be >= 0")
-
-    @property
-    def low_noise_is_above(self) -> bool:
-        """True when the above-threshold side of the noise factor flips less."""
-        return self.noise.flip_above <= self.noise.flip_at_or_below
+            raise ValueError("signal_strength and drift_scale must be >= 0")
 
 
 def generate(spec: SynthSpec) -> tuple[CohortDataset, FactorTable, np.ndarray]:
@@ -87,8 +78,8 @@ def generate(spec: SynthSpec) -> tuple[CohortDataset, FactorTable, np.ndarray]:
     direction = rng.normal(size=spec.feature_width)
     direction /= np.linalg.norm(direction)
 
-    noise_idx = [name for name, _ in spec.factors].index(spec.noise.factor)
-    low_is_above = spec.low_noise_is_above
+    noise_idx = [name for name, _ in spec.factors].index(spec.noise_factor)
+    low_is_above = spec.flip_above <= spec.flip_at_or_below  # the above side flips less
 
     subjects = []
     factor_rows = np.empty((spec.n_subjects, len(spec.factors)))
@@ -103,8 +94,8 @@ def generate(spec: SynthSpec) -> tuple[CohortDataset, FactorTable, np.ndarray]:
         visits = center + np.arange(n_visits)[:, None] * drift \
             + rng.normal(size=(n_visits, spec.feature_width))
 
-        above = factor_rows[i, noise_idx] > spec.noise.threshold
-        flip_prob = spec.noise.flip_above if above else spec.noise.flip_at_or_below
+        above = factor_rows[i, noise_idx] > spec.noise_threshold
+        flip_prob = spec.flip_above if above else spec.flip_at_or_below
         flipped = rng.random() < flip_prob
         label = y_true ^ int(flipped)
         subjects.append(Subject(f"S{i:04d}", visits, label))

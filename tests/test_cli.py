@@ -146,10 +146,39 @@ class TestSynth:
             direct = (tmp_path / "direct" / name).read_bytes()
             assert (tmp_path / "m" / name).read_bytes() == direct
 
-    def test_invalid_spec_is_data_error(self, tmp_path, capsys):
+    def test_invalid_spec_is_usage_error(self, tmp_path, capsys):
         rc = main(["synth", "--out", str(tmp_path), "--flip-above", "0.9"])
-        assert rc == 2
-        assert "error" in capsys.readouterr().err
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("values, message", [
+        ({"flip_above": "0.9"}, "flip probabilities must lie in [0, 0.5), got 0.9"),
+        ({"flip_at_or_below": "-0.1"}, "flip probabilities must lie in [0, 0.5), got -0.1"),
+        ({"n_subjects": "1", "flip_above": "0.5"},
+         "flip probabilities must lie in [0, 0.5), got 0.5"),
+        ({"n_subjects": "1"}, "n_subjects must be >= 2"),
+        ({"feature_width": "1"}, "feature_width must be >= 2"),
+        ({"min_visits": "0"}, "visit range must satisfy 1 <= min <= max"),
+        ({"min_visits": "3", "max_visits": "2"}, "visit range must satisfy 1 <= min <= max"),
+        ({"noise_factor": "nope"}, "noise factor 'nope' is not a declared factor"),
+        ({"signal_strength": "-1"}, "signal_strength and drift_scale must be >= 0"),
+        ({"drift_scale": "-0.5"}, "signal_strength and drift_scale must be >= 0"),
+    ], ids=["flip-above", "flip-at-or-below", "flip-checked-first", "n-subjects",
+            "feature-width", "min-visits", "visit-order", "noise-factor", "signal-strength",
+            "drift-scale"])
+    def test_each_spec_check_is_usage_error(self, tmp_path, capsys, source, values, message):
+        """Every SynthSpec check a setting can reach exits 1 with its own
+        message and writes nothing. (`factors` is not a setting, so its two
+        checks are test_synth's.)"""
+        if source == "flag":
+            flags = [f"--{key.replace('_', '-')}={value}" for key, value in values.items()]
+        else:
+            (tmp_path / "spec.cfg").write_text("".join(f"{k}={v}\n" for k, v in values.items()))
+            flags = ["--config", str(tmp_path / "spec.cfg")]
+        assert main(["synth", "--out", str(tmp_path / "out"), *flags]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfgfile = tmp_path / "spec.cfg"
@@ -281,14 +310,19 @@ class TestGraph:
         assert "factor 'g': its mean or variance overflows float64" in proc.stderr
         assert "RuntimeWarning" not in proc.stderr
 
-    def test_seed_changes_no_output(self, cohort_dir, tmp_path):
-        for seed in ("0", "99"):
-            assert main(["graph", "--cohort", str(cohort_dir / "cohort.csv"), "--k", "8",
-                         "--out", str(tmp_path / seed), "--seed", seed, "--dump-graph"]) == 0
-        files = sorted(p.name for p in (tmp_path / "0").iterdir())
-        assert files == sorted(p.name for p in (tmp_path / "99").iterdir())
-        for name in files:
-            assert (tmp_path / "0" / name).read_bytes() == (tmp_path / "99" / name).read_bytes()
+    def test_takes_no_seed(self, tmp_path, capsys):
+        """graph draws no random numbers, so it takes no seed: the flag is a
+        usage error, the config key an unknown one. Both are reported before
+        the cohort, which does not exist, is read."""
+        cohort = str(tmp_path / "absent.csv")
+        assert main(["graph", "--cohort", cohort, "--out", str(tmp_path / "out"),
+                     "--seed", "1"]) == 1
+        assert capsys.readouterr().err == "error: unrecognized arguments: --seed 1\n"
+        (tmp_path / "graph.cfg").write_text("k=5\nseed=1\n")
+        assert main(["graph", "--cohort", cohort, "--out", str(tmp_path / "out"),
+                     "--config", str(tmp_path / "graph.cfg")]) == 2
+        assert capsys.readouterr().err == "data error: unknown config key 'seed'\n"
+        assert not (tmp_path / "out").exists()
 
     def test_missing_cohort_is_data_error(self, tmp_path):
         assert main(["graph", "--cohort", str(tmp_path / "nope.csv"),
@@ -661,7 +695,7 @@ SURFACE = {
               ("--flip-above", "flip_above"), ("--flip-at-or-below", "flip_at_or_below"),
               ("--noise-threshold", "noise_threshold"), ("--noise-factor", "noise_factor")],
     "graph": [("--cohort", "cohort"), ("--out", "out"), ("--config", "config"), ("--k", "k"),
-              ("--m", "m"), ("--seed", "seed"), ("--dump-graph", "dump_graph")],
+              ("--m", "m"), ("--dump-graph", "dump_graph")],
     "train": [("--cohort", "cohort"), ("--out", "out"), ("--config", "config"),
               ("--scheme", "scheme"), ("--epochs", "epochs"), ("--lr-model", "lr_model"),
               ("--lr-a", "lr_a"), ("--batch", "batch"), ("--folds", "folds"), ("--k", "k"),
@@ -887,8 +921,7 @@ class TestExitPaths:
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize("command, key, value", [
         ("graph", "k", "0"), ("train", "k", "-5"), ("sweep", "k_grid", "0,5"),
-        ("graph", "seed", "-1"), ("train", "seed", "-1"), ("sweep", "seed", "-1"),
-        ("synth", "seed", "-1"),
+        ("train", "seed", "-1"), ("sweep", "seed", "-1"), ("synth", "seed", "-1"),
     ])
     def test_k_and_seed_bounds_are_usage_errors_before_reading(self, tmp_path, capsys, source,
                                                                command, key, value):
@@ -997,7 +1030,7 @@ class TestMutatedCohort:
 
 # A valid config per command; epochs (a flag) and batch stay fixed, so no
 # mutation below scales the work.
-CONFIG_BASE = {"graph": ["k=5", "m=3", "seed=1"],
+CONFIG_BASE = {"graph": ["k=5", "m=3"],
                "train": ["k=5", "m=3", "folds=2", "seed=1", "batch=16"],
                "sweep": ["k_grid=5", "c_grid=0.65", "m=3", "folds=2", "seed=1", "batch=16"]}
 CONFIG_KEYS = ["k", "m", "folds", "seed", "c", "lr_model", "lr_a", "jtt_lambda"]

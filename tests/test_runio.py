@@ -102,12 +102,29 @@ def one_class_fold_1(rows):
 
 
 def fold_2_tested_in_fold_0(rows):
-    """Every test row of fold 2 moved to fold 0, which leaves fold 2 none."""
-    return [r[:1] + ["0"] + r[2:] if r[1:3] == ["2", "test"] else r for r in rows]
+    """Every test row of fold 2 moved to fold 0, in place of its subject's
+    fold-0 train row, which leaves fold 2 none."""
+    moved = {r[0] for r in rows if r[1:3] == ["2", "test"]}
+    return [r[:1] + ["0"] + r[2:] if r[1:3] == ["2", "test"] else r for r in rows
+            if not (r[0] in moved and r[1:3] == ["0", "train"])]
+
+
+def with_split(pick, split):
+    """An edit that sets the split of the row `pick(rows)` to `split`."""
+    def edit(rows):
+        picked = pick(rows)
+        return [r[:2] + [split] + r[3:] if r is picked else r for r in rows]
+    return edit
+
+
+def train_row_in_own_test_fold(rows):
+    """A train row for the first test row's subject in its own test fold."""
+    r = first_test_row(rows)
+    return rows + [r[:2] + ["train", r[3], "0.123"]]
 
 
 @pytest.mark.parametrize("name, edit, message", [
-    ("predictions.csv", lambda rows: rows + [first_test_row(rows)],
+    ("predictions.csv", with_split(first_train_row, "test"),
      r"predictions.csv: subject 'S\d+' has 2 test rows, expected exactly one"),
     ("predictions.csv", lambda rows: [r for r in rows if r is not first_test_row(rows)],
      r"predictions.csv: subject 'S\d+' has 0 test rows, expected exactly one"),
@@ -125,8 +142,21 @@ def fold_2_tested_in_fold_0(rows):
      r"predictions.csv: fold 1 has 0 class-0 and \d+ class-1 test rows; it needs both classes"),
     ("predictions.csv", fold_2_tested_in_fold_0,
      "predictions.csv: fold 2 has 0 class-0 and 0 class-1 test rows; it needs both classes"),
+    ("predictions.csv", lambda rows: rows + [first_test_row(rows)],
+     r"predictions.csv:\d+: duplicate subject 'S\d+' in fold \d"),
+    ("predictions.csv", train_row_in_own_test_fold,
+     r"predictions.csv:\d+: duplicate subject 'S\d+' in fold \d"),
+    ("predictions.csv", with_split(first_train_row, "trian"),
+     r"predictions.csv:\d+: split must be train or test, got 'trian'"),
+    ("weights.csv", with_split(first_train_row, "banana"),
+     r"weights.csv:\d+: split must be train or test, got 'banana'"),
+    ("weights.csv", with_split(first_train_row, "test"),
+     r"weights.csv: subject 'S\d+' in fold (\d) is split 'test', but predictions.csv tests it "
+     r"in fold (?!\1)\d"),
 ], ids=["second-test-row", "no-test-row", "unknown-weight-subject", "nan-weight", "huge-label",
-        "repeated-weight-row", "repeated-train-row", "one-class-fold", "fold-without-test-rows"])
+        "repeated-weight-row", "repeated-train-row", "one-class-fold", "fold-without-test-rows",
+        "repeated-test-row", "train-row-in-own-test-fold", "misspelt-split", "unknown-weight-split",
+        "weight-split-disagrees"])
 def test_broken_format_is_data_error_naming_the_file(saved_run, tmp_path, capsys, name, edit,
                                                      message):
     _, out, _ = saved_run

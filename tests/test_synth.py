@@ -3,10 +3,9 @@ import pytest
 
 from conftest import logistic_factory
 from specweight.dataset import CohortDataset
-from specweight.errors import DataError
 from specweight.evaluation import balanced_accuracy
 from specweight.factor_graph import standardize
-from specweight.synth import NoiseRule, SynthSpec, describe, generate
+from specweight.synth import SynthSpec, describe, generate
 from specweight.training import TrainConfig, train_baseline_none
 
 
@@ -22,7 +21,7 @@ def fit_and_score(data: CohortDataset, epochs=40, lr=5e-2, seed=1):
 class TestGenerate:
     def test_noise_free_strong_signal_is_learnable(self):
         spec = SynthSpec(n_subjects=120, feature_width=8, signal_strength=3.0,
-                         noise=NoiseRule(flip_above=0.0, flip_at_or_below=0.0), seed=5)
+                         flip_above=0.0, flip_at_or_below=0.0, seed=5)
         data, _, _ = generate(spec)
         assert fit_and_score(data) > 0.95
 
@@ -82,26 +81,29 @@ class TestDescribe:
 
 class TestSpecValidation:
     def test_flip_probability_range(self):
-        with pytest.raises(DataError):
-            SynthSpec(noise=NoiseRule(flip_above=0.5))
-        with pytest.raises(DataError):
-            SynthSpec(noise=NoiseRule(flip_at_or_below=-0.1))
+        with pytest.raises(ValueError):
+            SynthSpec(flip_above=0.5)
+        with pytest.raises(ValueError):
+            SynthSpec(flip_at_or_below=-0.1)
 
     def test_visit_range(self):
-        with pytest.raises(DataError):
+        with pytest.raises(ValueError):
             SynthSpec(min_visits=0)
-        with pytest.raises(DataError):
+        with pytest.raises(ValueError):
             SynthSpec(min_visits=3, max_visits=2)
 
     def test_feature_width(self):
-        with pytest.raises(DataError):
+        with pytest.raises(ValueError):
             SynthSpec(feature_width=1)
 
+    def test_unknown_factor_kind(self):
+        with pytest.raises(ValueError, match="factor a: kind must be one of"):
+            SynthSpec(factors=(("a", "ordinal"),), noise_factor="a")
+
     def test_unknown_noise_factor(self):
-        with pytest.raises(DataError):
-            SynthSpec(noise=NoiseRule(factor="nope"))
+        with pytest.raises(ValueError):
+            SynthSpec(noise_factor="nope")
 
     def test_duplicate_factor_names(self):
-        with pytest.raises(DataError):
-            SynthSpec(factors=(("a", "binary"), ("a", "continuous")),
-                      noise=NoiseRule(factor="a"))
+        with pytest.raises(ValueError):
+            SynthSpec(factors=(("a", "binary"), ("a", "continuous")), noise_factor="a")
