@@ -4,6 +4,11 @@ Every command is deterministic given its input files, flags, seed, and BLAS
 thread count. Exit codes: 0 success, 1 usage error, 2 data error, 3
 numerical failure.
 
+Before any compute, `main` sets numpy's OpenBLAS to one thread unless one of
+`blas.THREAD_VARS` is set (`blas.apply_policy`). `train` spreads its folds
+over `evaluation.pool_size(usable CPUs, threads, folds)` processes, itself
+included; the output bytes are those of a serial run at the same count.
+
 Settings are the fields of a flat dataclass (`SynthSpec`'s for synth,
 `TrainConfig`'s for graph, train and sweep), renamed by `_ALIASES`, plus the
 CLI-only `folds`, `k_grid` and `c_grid`. A flat key=value config file
@@ -18,6 +23,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -25,6 +31,7 @@ from typing import get_type_hints
 
 import numpy as np
 
+from . import blas
 from . import evaluation as ev
 from . import training as tr
 from .dataset import (read_cohort_csv, read_factor_table, write_cohort_csv, write_csv,
@@ -232,7 +239,9 @@ def cmd_train(args) -> int:
     cfg = _effective(args, _TRAIN)
     train_cfg = _build(tr.TrainConfig, cfg)
     data, factors = read_cohort_csv(args.cohort)
-    run = ev.cross_validate(data, factors, train_cfg, n_folds=cfg["folds"])
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    jobs = ev.pool_size(cpus, blas.threads(), cfg["folds"])
+    run = ev.cross_validate(data, factors, train_cfg, n_folds=cfg["folds"], jobs=jobs)
     bacc, f1 = save_run(_out_dir(args.out), run, data.subject_ids, factors, cfg, args.cohort)
     print(f"scheme={run.scheme} BACC {ev.format_mean_std(bacc)} "
           f"F1 {ev.format_mean_std(f1)}")
@@ -335,6 +344,7 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
+    blas.apply_policy()
     try:
         args = _parser().parse_args(argv)
         # Looked up at call time, so a replaced module attribute cmd_<name> runs.

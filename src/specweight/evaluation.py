@@ -7,12 +7,18 @@ predictions and inferred weights. The decision threshold is 0.5 throughout.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
+import pickle
+import subprocess
+import sys
+import tempfile
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import blas
 from . import training as tr
 from .dataset import CohortDataset
 from .errors import DataError
@@ -22,9 +28,6 @@ from .seeding import derive_seed
 DEFAULT_FOLDS = 5
 DEFAULT_K_GRID = (10, 30, 50, 75, 100)
 DEFAULT_C_GRID = (0.5, 0.65, 0.7, 0.75, 1.0)
-# Eigensolver output is bitwise reproducible only at a fixed BLAS thread
-# count, so manifests record the variables that set it (None when unset).
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 # ---------------------------------------------------------------------------
@@ -198,28 +201,96 @@ def fold_job(data: CohortDataset, cfg: tr.TrainConfig, folds: np.ndarray, fold: 
     manifest = {"fold": fold, "scheme": cfg.scheme, "seed": fold_cfg.seed,
                 "config": dict(vars(cfg)), "initial_objective": history.initial_objective,
                 "final_objective": history.final_objective, "epoch_losses": history.epoch_losses,
-                "blas_threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARS}}
+                "blas_threads": {name: os.environ.get(name) for name in blas.THREAD_VARS},
+                "blas_threads_used": blas.threads()}
     return result.probs, result.weights, manifest, result.model
+
+
+def pool_size(cpus: int, threads: int | None, n_folds: int) -> int:
+    """Processes, the caller included, that `cross_validate` should spread
+    `n_folds` folds over when each runs `threads` BLAS threads on `cpus`
+    CPUs; 1 when the thread count is unknown (None)."""
+    return 1 if threads is None else max(1, min(n_folds, cpus // threads))
 
 
 def cross_validate(data: CohortDataset, factors: FactorTable | None, cfg: tr.TrainConfig,
                    n_folds: int = DEFAULT_FOLDS, model_factory=tr.default_model_factory,
-                   basis: SpectralBasis | None = None) -> CVRun:
+                   basis: SpectralBasis | None = None, jobs: int = 1) -> CVRun:
     """Train and score one scheme across stratified folds, one `fold_job`
     per fold.
 
     The factor graph and its basis cover all samples and are built once; only
-    the train/test partition changes per fold.
+    the train/test partition changes per fold. Fold f runs in process
+    `f % jobs`: process 0 is the caller, and each other one is a worker
+    started with this process's `sys.path` and BLAS thread count, so the
+    result is the serial one bit for bit. With `jobs` > 1 the
+    `model_factory` must pickle. Every worker has exited when this returns
+    or raises; a worker's exception is raised again here.
     """
     if cfg.scheme in ("spectral", "only_graph") and basis is None:
         if factors is None:
             raise ValueError(f"scheme {cfg.scheme} requires a factor table")
         basis, _ = basis_from_factors(factors, cfg.k_neighbors, cfg.m_basis)
     folds = stratified_kfold(data.labels, n_folds, derive_seed(cfg.seed, "folds"))
-    probs, weights, manifests, models = zip(*[
-        fold_job(data, cfg, folds, fold, basis, model_factory) for fold in range(n_folds)])
+    job, threads = (data, cfg, folds, basis, model_factory), blas.threads()
+    share = [range(p, n_folds, jobs) for p in range(jobs)]
+    with contextlib.ExitStack() as stack:
+        workers = []
+        for mine in share[1:]:
+            proc = stack.enter_context(_start_worker((threads, job, mine)))
+            stack.callback(proc.kill)   # runs first; a no-op once the worker has exited
+            workers.append(proc)
+        results = {fold: fold_job(data, cfg, folds, fold, basis, model_factory)
+                   for fold in share[0]}
+        for proc, mine in zip(workers, share[1:]):
+            results.update(zip(mine, _worker_result(proc)))
+    probs, weights, manifests, models = zip(*[results[fold] for fold in range(n_folds)])
     return CVRun(cfg.scheme, cfg.seed, folds, data.labels, np.array(probs), np.array(weights),
                  list(manifests), list(models))
+
+
+# The worker reads its sys.path and then its payload from stdin, and writes one
+# pickle to stdout: the list of its folds' results, or the exception it raised.
+_BOOT = ("import pickle, sys\n"
+         "sys.path[:] = pickle.load(sys.stdin.buffer)\n"
+         "from specweight.evaluation import fold_worker\n"
+         "fold_worker()\n")
+
+
+def _start_worker(payload) -> subprocess.Popen:
+    # stdin is a file, not a pipe, so the start does not wait for the worker
+    # to boot and read a payload larger than the pipe buffer.
+    with tempfile.TemporaryFile() as stdin:
+        pickle.dump(sys.path, stdin)
+        pickle.dump(payload, stdin)
+        stdin.seek(0)
+        return subprocess.Popen([sys.executable, "-c", _BOOT], stdin=stdin,
+                                stdout=subprocess.PIPE)
+
+
+def _worker_result(proc: subprocess.Popen) -> list:
+    out, _ = proc.communicate()
+    if proc.returncode != 0 or not out:
+        raise RuntimeError(f"fold worker exited with code {proc.returncode} "
+                           "without a result")
+    result = pickle.loads(out)
+    if isinstance(result, BaseException):
+        raise result
+    return result
+
+
+def fold_worker() -> None:
+    """Entry point of a `cross_validate` worker process (see `_BOOT`)."""
+    out, sys.stdout = sys.stdout.buffer, sys.stderr   # the result is all it writes there
+    threads, (data, cfg, folds, basis, model_factory), mine = pickle.load(sys.stdin.buffer)
+    if threads is not None:
+        blas.set_threads(threads)
+    try:
+        result = [fold_job(data, cfg, folds, fold, basis, model_factory) for fold in mine]
+    except Exception as exc:  # raised again in the caller
+        result = exc
+    pickle.dump(result, out)
+    out.flush()
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ reports as a usage error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +64,9 @@ class SynthSpec:
                 raise ValueError(f"factor {name}: kind must be one of {FACTOR_KINDS}")
         if self.noise_factor not in names:
             raise ValueError(f"noise factor {self.noise_factor!r} is not a declared factor")
+        for name in ("noise_threshold", "signal_strength", "drift_scale"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.signal_strength < 0.0 or self.drift_scale < 0.0:
             raise ValueError("signal_strength and drift_scale must be >= 0")
 

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,28 @@ def small_gru_factory(feature_width, rng):
 
 def logistic_factory(feature_width, rng):
     return LogisticFallback(feature_width, rng)
+
+
+class FailsIn:
+    """A picklable model factory that fails in the process that made it
+    (`where="caller"`) or only in the others (`where="worker"`), by raising
+    `error` or, for an int, exiting with that code; elsewhere it builds
+    `small_gru_factory`'s model."""
+
+    def __init__(self, where, error):
+        self.pid, self.where, self.error = os.getpid(), where, error
+
+    def __call__(self, feature_width, rng):
+        if (os.getpid() == self.pid) == (self.where == "caller"):
+            if isinstance(self.error, int):
+                os._exit(self.error)
+            raise self.error
+        return small_gru_factory(feature_width, rng)
+
+
+def assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture(scope="session")

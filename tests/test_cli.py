@@ -17,9 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specweight
+from conftest import FailsIn, assert_no_child_process
+from specweight import blas
 from specweight import evaluation as ev
 from specweight.cli import build_parser, main
 from specweight.dataset import read_cohort_csv
+from specweight.errors import DataError, NumericalError
 from specweight.factor_graph import basis_from_factors
 from specweight.predictor import load_checkpoint
 from specweight.synth import SynthSpec
@@ -164,9 +167,14 @@ class TestSynth:
         ({"noise_factor": "nope"}, "noise factor 'nope' is not a declared factor"),
         ({"signal_strength": "-1"}, "signal_strength and drift_scale must be >= 0"),
         ({"drift_scale": "-0.5"}, "signal_strength and drift_scale must be >= 0"),
+        ({"signal_strength": "nan"}, "signal_strength must be finite, got nan"),
+        ({"drift_scale": "inf"}, "drift_scale must be finite, got inf"),
+        ({"noise_threshold": "nan"}, "noise_threshold must be finite, got nan"),
+        ({"signal_strength": "-inf"}, "signal_strength must be finite, got -inf"),
     ], ids=["flip-above", "flip-at-or-below", "flip-checked-first", "n-subjects",
             "feature-width", "min-visits", "visit-order", "noise-factor", "signal-strength",
-            "drift-scale"])
+            "drift-scale", "signal-strength-nan", "drift-scale-inf", "noise-threshold-nan",
+            "signal-strength-minus-inf"])
     def test_each_spec_check_is_usage_error(self, tmp_path, capsys, source, values, message):
         """Every SynthSpec check a setting can reach exits 1 with its own
         message and writes nothing. (`factors` is not a setting, so its two
@@ -432,6 +440,65 @@ class TestTrain:
         assert main(["train", "--out", str(b)] + args) == 0
         for name in ("weights.csv", "predictions.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    @pytest.mark.parametrize("scheme", ["spectral", "jtt"])
+    def test_pool_writes_the_serial_bytes(self, cohort_dir, tmp_path, monkeypatch, scheme):
+        args = ["--cohort", str(cohort_dir / "cohort.csv"), "--scheme", scheme, "--epochs", "1",
+                "--k", "8", "--m", "3", "--batch", "16", "--seed", "6"]
+        runs = []
+        for jobs in (1, 2):
+            monkeypatch.setattr(ev, "pool_size", lambda *_, jobs=jobs: jobs)
+            assert main(["train", "--out", str(tmp_path / str(jobs))] + args) == 0
+            assert_no_child_process()
+            runs.append({p.name: p.read_bytes() for p in sorted((tmp_path / str(jobs)).iterdir())})
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("error, code, prefix", [
+        (DataError("subject S1: bad"), 2, "data error"),
+        (NumericalError("objective diverged"), 3, "numerical failure")])
+    def test_a_worker_error_exits_as_a_serial_one(self, cohort_dir, tmp_path, monkeypatch,
+                                                  capsys, error, code, prefix):
+        """The same error raised in the caller of a serial run and in the
+        worker of a pool gives the same exit code and message."""
+        cross_validate = ev.cross_validate
+        for where, jobs in (("caller", 1), ("worker", 2)):
+            monkeypatch.setattr(ev, "cross_validate", lambda *a, where=where, jobs=jobs, **kw:
+                                cross_validate(*a, **{**kw, "jobs": jobs,
+                                                      "model_factory": FailsIn(where, error)}))
+            assert main(["train", "--cohort", str(cohort_dir / "cohort.csv"), "--out",
+                         str(tmp_path / where), "--scheme", "none", "--epochs", "1"]) == code
+            assert capsys.readouterr().err == f"{prefix}: {error}\n"
+            assert_no_child_process()
+
+
+class TestThreadPolicy:
+    """`cli.main` leaves numpy's OpenBLAS at one thread unless a thread
+    variable is set."""
+
+    @pytest.fixture
+    def count(self, monkeypatch):
+        """A thread count above 1 where there are CPUs for it, with every
+        thread variable unset; the count in effect is restored afterwards."""
+        before = blas.threads()
+        if before is None:
+            pytest.skip("numpy's BLAS is not scipy-openblas")
+        for name in blas.THREAD_VARS:
+            monkeypatch.delenv(name, raising=False)
+        yield min(2, os.cpu_count())
+        blas.set_threads(before)
+
+    def test_no_variable_means_one_thread(self, count, tmp_path):
+        blas.set_threads(count)
+        assert blas.threads() == count
+        assert main(["synth", "--out", str(tmp_path), "--n-subjects", "6"]) == 0
+        assert blas.threads() == 1
+
+    @pytest.mark.parametrize("name", blas.THREAD_VARS)
+    def test_a_set_variable_wins(self, count, tmp_path, monkeypatch, name):
+        monkeypatch.setenv(name, str(count))
+        blas.set_threads(count)
+        assert main(["synth", "--out", str(tmp_path), "--n-subjects", "6"]) == 0
+        assert blas.threads() == count
 
 
 class TestReport:
@@ -742,7 +809,8 @@ class TestSurface:
             elif name == "basis_from_factors":
                 assert args[1:] == (50, "auto") and kwargs == {"vectors": False}
             elif name == "cross_validate":
-                assert args[2] == TrainConfig() and kwargs == {"n_folds": 5}
+                jobs = ev.pool_size(len(os.sched_getaffinity(0)), blas.threads(), 5)
+                assert args[2] == TrainConfig() and kwargs == {"n_folds": 5, "jobs": jobs}
             else:
                 assert args[2:] == (TrainConfig(), ev.DEFAULT_K_GRID, ev.DEFAULT_C_GRID)
                 assert kwargs == {"n_folds": 5}

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import logistic_factory, small_gru_factory
+from conftest import FailsIn, assert_no_child_process, logistic_factory, small_gru_factory
 from specweight import evaluation
-from specweight.errors import DataError
+from specweight.errors import DataError, NumericalError
 from specweight.evaluation import (
     DEFAULT_C_GRID,
     DEFAULT_K_GRID,
@@ -24,6 +24,7 @@ from specweight.evaluation import (
     format_mean_std,
     mann_whitney_u,
     median_split_gap,
+    pool_size,
     stratified_kfold,
     sweep,
 )
@@ -489,7 +490,8 @@ class TestFoldJob:
             assert np.array_equal(weights, run.weights[fold], equal_nan=True)
             assert manifest == run.manifests[fold]
             assert list(manifest) == ["fold", "scheme", "seed", "config", "initial_objective",
-                                      "final_objective", "epoch_losses", "blas_threads"]
+                                      "final_objective", "epoch_losses", "blas_threads",
+                                      "blas_threads_used"]
             assert np.array_equal(model.flat_params(), run.models[fold].flat_params())
 
     @pytest.mark.parametrize("scheme", ["spectral", "jtt"])
@@ -515,6 +517,57 @@ class TestFoldJob:
             assert predict(data, result[3], rows, 16).tobytes() == direct[0].tobytes()
         back[3].set_flat_params(np.zeros(back[3].n_params))
         assert np.all(predict(data, back[3], rows, 16) == 0.5)
+
+
+class TestFoldPool:
+    """`cross_validate(..., jobs=n)` runs fold f in process f % n; process 0
+    is the caller."""
+
+    @pytest.mark.parametrize("scheme, jobs", [("spectral", 2), ("jtt", 3)])
+    def test_pool_matches_serial_bit_for_bit(self, tiny_cohort, scheme, jobs):
+        data, factors, _ = tiny_cohort
+        cfg = TrainConfig(scheme=scheme, epochs=1, batch_size=16, k_neighbors=8, m_basis=4,
+                          seed=3)
+        serial = cross_validate(data, factors, cfg, n_folds=3)
+        pooled = cross_validate(data, factors, cfg, n_folds=3, jobs=jobs)
+        assert_no_child_process()
+        assert pooled.probs.tobytes() == serial.probs.tobytes()
+        assert pooled.weights.tobytes() == serial.weights.tobytes()
+        assert pooled.manifests == serial.manifests
+        for got, want in zip(pooled.models, serial.models, strict=True):
+            assert got.flat_params().tobytes() == want.flat_params().tobytes()
+
+    @pytest.mark.parametrize("error", [DataError("subject S1: bad"), NumericalError("diverged")])
+    def test_a_worker_error_is_raised_again_in_the_caller(self, tiny_cohort, error):
+        data, factors, _ = tiny_cohort
+        cfg = TrainConfig(scheme="none", epochs=1, batch_size=16)
+        with pytest.raises(type(error)) as raised:
+            cross_validate(data, factors, cfg, n_folds=3, jobs=2,
+                           model_factory=FailsIn("worker", error))
+        assert type(raised.value) is type(error) and str(raised.value) == str(error)
+        assert_no_child_process()
+
+    def test_a_caller_error_stops_the_worker(self, tiny_cohort):
+        data, factors, _ = tiny_cohort
+        cfg = TrainConfig(scheme="none", epochs=1, batch_size=16)
+        with pytest.raises(DataError, match="caller failed"):
+            cross_validate(data, factors, cfg, n_folds=3, jobs=2,
+                           model_factory=FailsIn("caller", DataError("caller failed")))
+        assert_no_child_process()
+
+    def test_a_worker_without_a_result_names_its_exit_code(self, tiny_cohort):
+        data, factors, _ = tiny_cohort
+        cfg = TrainConfig(scheme="none", epochs=1, batch_size=16)
+        with pytest.raises(RuntimeError, match="fold worker exited with code 7 without a result"):
+            cross_validate(data, factors, cfg, n_folds=3, jobs=2,
+                           model_factory=FailsIn("worker", 7))
+        assert_no_child_process()
+
+    @pytest.mark.parametrize("cpus, threads, folds, jobs", [
+        (2, 1, 5, 2), (2, 2, 5, 1), (2, 4, 5, 1), (1, 1, 5, 1), (4, 1, 5, 4), (4, 2, 5, 2),
+        (8, 1, 5, 5), (4, 1, 3, 3), (2, None, 5, 1), (64, None, 5, 1)])
+    def test_pool_size(self, cpus, threads, folds, jobs):
+        assert pool_size(cpus, threads, folds) == jobs
 
 
 def test_format_mean_std():
