@@ -32,7 +32,7 @@ from .factor_graph import (
     standardize,
     symmetric_eigen,
 )
-from .predictor import LogisticFallback, RecurrentClassifier, bce_loss
+from .predictor import RecurrentClassifier, bce_loss
 from .synth import SynthSpec, describe, generate
 from .training import (
     AdamState,
@@ -51,7 +51,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdamState", "CVRun", "CohortDataset", "FactorGraph",
-    "FactorTable", "LogisticFallback", "RecurrentClassifier",
+    "FactorTable", "RecurrentClassifier",
     "SpectralBasis", "Subject", "SynthSpec", "TrainConfig", "WeightField",
     "adam_step", "balanced_accuracy", "basis_from_factors", "bce_loss",
     "build_graph", "cross_validate", "describe", "f1_score", "generate",

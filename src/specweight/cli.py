@@ -7,7 +7,10 @@ numerical failure.
 Before any compute, `main` sets numpy's OpenBLAS to one thread unless one of
 `blas.THREAD_VARS` is set (`blas.apply_policy`). `train` spreads its folds
 over `evaluation.pool_size(usable CPUs, threads, folds)` processes, itself
-included; the output bytes are those of a serial run at the same count.
+included; the output bytes are those of a serial run at the same count. Its
+workers (`evaluation.fold_pool`) start once the settings are checked, boot
+while the cohort is read and then wait for their job; if the read fails they
+are killed.
 
 Settings are the fields of a flat dataclass (`SynthSpec`'s for synth,
 `TrainConfig`'s for graph, train and sweep), renamed by `_ALIASES`, plus the
@@ -238,10 +241,11 @@ def cmd_graph(args) -> int:
 def cmd_train(args) -> int:
     cfg = _effective(args, _TRAIN)
     train_cfg = _build(tr.TrainConfig, cfg)
-    data, factors = read_cohort_csv(args.cohort)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    jobs = ev.pool_size(cpus, blas.threads(), cfg["folds"])
-    run = ev.cross_validate(data, factors, train_cfg, n_folds=cfg["folds"], jobs=jobs)
+    # The workers boot while the cohort is read.
+    with ev.fold_pool(ev.pool_size(cpus, blas.threads(), cfg["folds"])) as pool:
+        data, factors = read_cohort_csv(args.cohort)
+        run = ev.cross_validate(data, factors, train_cfg, n_folds=cfg["folds"], pool=pool)
     bacc, f1 = save_run(_out_dir(args.out), run, data.subject_ids, factors, cfg, args.cohort)
     print(f"scheme={run.scheme} BACC {ev.format_mean_std(bacc)} "
           f"F1 {ev.format_mean_std(f1)}")

@@ -215,31 +215,37 @@ def pool_size(cpus: int, threads: int | None, n_folds: int) -> int:
 
 def cross_validate(data: CohortDataset, factors: FactorTable | None, cfg: tr.TrainConfig,
                    n_folds: int = DEFAULT_FOLDS, model_factory=tr.default_model_factory,
-                   basis: SpectralBasis | None = None, jobs: int = 1) -> CVRun:
+                   basis: SpectralBasis | None = None, pool=None) -> CVRun:
     """Train and score one scheme across stratified folds, one `fold_job`
     per fold.
 
     The factor graph and its basis cover all samples and are built once; only
-    the train/test partition changes per fold. Fold f runs in process
-    `f % jobs`: process 0 is the caller, and each other one is a worker
-    started with this process's `sys.path` and BLAS thread count, so the
-    result is the serial one bit for bit. With `jobs` > 1 the
-    `model_factory` must pickle. Every worker has exited when this returns
-    or raises; a worker's exception is raised again here.
+    the train/test partition changes per fold. Without a `pool` every fold
+    runs here. With the n workers of a `fold_pool`, fold f runs in process
+    `f % (n + 1)`: process 0 is the caller, and worker i runs process i + 1's
+    folds at this process's BLAS thread count, so the result is the serial
+    one bit for bit. A pool serves one call, and its `model_factory` must
+    pickle. Every worker has exited when this returns or raises; a worker's
+    exception is raised again here.
     """
     if cfg.scheme in ("spectral", "only_graph") and basis is None:
         if factors is None:
             raise ValueError(f"scheme {cfg.scheme} requires a factor table")
         basis, _ = basis_from_factors(factors, cfg.k_neighbors, cfg.m_basis)
     folds = stratified_kfold(data.labels, n_folds, derive_seed(cfg.seed, "folds"))
-    job, threads = (data, cfg, folds, basis, model_factory), blas.threads()
-    share = [range(p, n_folds, jobs) for p in range(jobs)]
+    workers = pool or []
+    share = [range(p, n_folds, len(workers) + 1) for p in range(len(workers) + 1)]
     with contextlib.ExitStack() as stack:
-        workers = []
-        for mine in share[1:]:
-            proc = stack.enter_context(_start_worker((threads, job, mine)))
-            stack.callback(proc.kill)   # runs first; a no-op once the worker has exited
-            workers.append(proc)
+        if workers:
+            # Only the job file's path goes down the pipe, so the hand-off never
+            # waits for a booting worker to drain a job larger than the pipe buffer.
+            job = stack.enter_context(tempfile.NamedTemporaryFile(prefix="specweight-job-"))
+            pickle.dump((data, cfg, folds, basis, model_factory), job)
+            job.flush()
+        for proc, mine in zip(workers, share[1:]):
+            stack.callback(proc.kill)   # before the job file goes; a no-op once it has exited
+            with contextlib.suppress(BrokenPipeError):   # _worker_result names its exit code
+                proc.stdin.write(pickle.dumps((blas.threads(), job.name, mine)))
         results = {fold: fold_job(data, cfg, folds, fold, basis, model_factory)
                    for fold in share[0]}
         for proc, mine in zip(workers, share[1:]):
@@ -249,23 +255,32 @@ def cross_validate(data: CohortDataset, factors: FactorTable | None, cfg: tr.Tra
                  list(manifests), list(models))
 
 
-# The worker reads its sys.path and then its payload from stdin, and writes one
-# pickle to stdout: the list of its folds' results, or the exception it raised.
+# A worker reads its sys.path from stdin and imports specweight, which is its
+# boot; then it waits on stdin for its hand-off: the BLAS thread count, the path
+# of the job file and its folds. It writes one pickle to stdout: the list of its
+# folds' results, or the exception it raised.
 _BOOT = ("import pickle, sys\n"
          "sys.path[:] = pickle.load(sys.stdin.buffer)\n"
          "from specweight.evaluation import fold_worker\n"
          "fold_worker()\n")
 
 
-def _start_worker(payload) -> subprocess.Popen:
-    # stdin is a file, not a pipe, so the start does not wait for the worker
-    # to boot and read a payload larger than the pipe buffer.
-    with tempfile.TemporaryFile() as stdin:
-        pickle.dump(sys.path, stdin)
-        pickle.dump(payload, stdin)
-        stdin.seek(0)
-        return subprocess.Popen([sys.executable, "-c", _BOOT], stdin=stdin,
-                                stdout=subprocess.PIPE)
+@contextlib.contextmanager
+def fold_pool(jobs: int):
+    """The list of `jobs - 1` worker processes for one `cross_validate(...,
+    pool=...)` call, all started at once, so that they boot while the caller
+    does other work. Each worker waits for its job once booted. Every worker
+    has been killed and reaped when the block exits, on any path."""
+    with contextlib.ExitStack() as stack:
+        pool = []
+        for _ in range(jobs - 1):
+            proc = stack.enter_context(subprocess.Popen(
+                [sys.executable, "-c", _BOOT], stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                bufsize=0))
+            stack.callback(proc.kill)   # runs first; a no-op once the worker has exited
+            proc.stdin.write(pickle.dumps(sys.path))   # fits the pipe buffer: never waits
+            pool.append(proc)
+        yield pool
 
 
 def _worker_result(proc: subprocess.Popen) -> list:
@@ -280,9 +295,14 @@ def _worker_result(proc: subprocess.Popen) -> list:
 
 
 def fold_worker() -> None:
-    """Entry point of a `cross_validate` worker process (see `_BOOT`)."""
+    """Entry point of a `fold_pool` worker process (see `_BOOT`)."""
     out, sys.stdout = sys.stdout.buffer, sys.stderr   # the result is all it writes there
-    threads, (data, cfg, folds, basis, model_factory), mine = pickle.load(sys.stdin.buffer)
+    try:
+        threads, path, mine = pickle.load(sys.stdin.buffer)
+    except EOFError:   # the pool closed before handing this worker a job
+        return
+    with open(path, "rb") as fh:
+        data, cfg, folds, basis, model_factory = pickle.load(fh)
     if threads is not None:
         blas.set_threads(threads)
     try:

@@ -1,8 +1,8 @@
-"""Sequence-to-one binary classifiers with hand-written gradients.
+"""A sequence-to-one binary classifier with hand-written gradients.
 
-The main model runs a gated recurrent layer over each subject's visit
+The model runs a gated recurrent layer over each subject's visit
 sequence in chronological order, then two fully connected layers producing a
-single logit. Both models work on a mini-batch: `forward` takes a list of
+single logit. It works on a mini-batch: `forward` takes a list of
 `(visits, features)` arrays of any lengths and returns one probability per
 sequence plus a cache; `backward` takes one upstream value per sequence and
 returns the parameter gradient summed over the batch. The recurrence packs
@@ -13,8 +13,7 @@ matmul against [Wz; Wr; Wh] projects every packed visit onto all three
 gates, and each step makes one matmul against [Uz; Ur] for the update and
 reset gates together. The parameter arrays are views into one flat vector in
 checkpoint order, and `backward` writes its gradient into one flat buffer in
-the same order. A last-visit logistic model with the same interface serves
-as a cheap stand-in where test suites need many training runs.
+the same order.
 """
 
 from __future__ import annotations
@@ -246,50 +245,6 @@ class RecurrentClassifier:
         np.sum(dar, axis=0, out=dbr)
         np.sum(dah, axis=0, out=dbh)
         return grad
-
-
-class LogisticFallback:
-    """Logistic regression on the final visit; same interface as the GRU.
-
-    Exists so property suites that need dozens of training runs can exercise
-    the full training machinery without paying for backprop through time.
-    """
-
-    def __init__(self, feature_width: int, rng: np.random.Generator | None = None):
-        if feature_width < 1:
-            raise ValueError("feature_width must be >= 1")
-        self.feature_width = feature_width
-        rng = rng if rng is not None else np.random.default_rng(0)
-        bound = 1.0 / np.sqrt(feature_width)
-        self.w = rng.uniform(-bound, bound, size=feature_width)
-        self.b = rng.uniform(-bound, bound, size=1)
-
-    @property
-    def n_params(self) -> int:
-        return self.feature_width + 1
-
-    def flat_params(self) -> np.ndarray:
-        return np.concatenate([self.w, self.b])
-
-    def set_flat_params(self, flat: np.ndarray) -> None:
-        flat = np.asarray(flat, dtype=np.float64)
-        if flat.shape != (self.n_params,):
-            raise ValueError(f"expected {self.n_params} parameters, got {flat.shape}")
-        self.w = flat[:-1].copy()
-        self.b = flat[-1:].copy()
-
-    def forward(self, sequences):
-        last = np.array([x[-1] for x in _as_batch(sequences, self.feature_width)])
-        logits = last @ self.w + self.b[0]
-        if not np.all(np.isfinite(logits)):
-            raise NumericalError("non-finite activation in forward pass")
-        p = _sigmoid(logits)
-        return p, (last, p)
-
-    def backward(self, cache, d_prob) -> np.ndarray:
-        last, p = cache
-        dlogit = np.broadcast_to(np.asarray(d_prob, dtype=np.float64), p.shape) * p * (1.0 - p)
-        return np.concatenate([dlogit @ last, [dlogit.sum()]])
 
 
 def save_checkpoint(model: RecurrentClassifier, path) -> None:

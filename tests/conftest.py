@@ -3,9 +3,55 @@ import os
 import numpy as np
 import pytest
 
+from specweight.errors import NumericalError
 from specweight.factor_graph import FactorTable, basis_from_factors
-from specweight.predictor import LogisticFallback, RecurrentClassifier
+from specweight.predictor import RecurrentClassifier, _as_batch, _sigmoid
 from specweight.synth import SynthSpec, generate
+
+
+class LogisticFallback:
+    """Logistic regression on the final visit; same interface as the GRU.
+
+    A test double: property suites that need dozens of training runs exercise
+    the full training machinery with it without paying for backprop through
+    time. Its own tests are `test_predictor.py::TestLogisticFallback`.
+    """
+
+    def __init__(self, feature_width: int, rng: np.random.Generator | None = None):
+        if feature_width < 1:
+            raise ValueError("feature_width must be >= 1")
+        self.feature_width = feature_width
+        rng = rng if rng is not None else np.random.default_rng(0)
+        bound = 1.0 / np.sqrt(feature_width)
+        self.w = rng.uniform(-bound, bound, size=feature_width)
+        self.b = rng.uniform(-bound, bound, size=1)
+
+    @property
+    def n_params(self) -> int:
+        return self.feature_width + 1
+
+    def flat_params(self) -> np.ndarray:
+        return np.concatenate([self.w, self.b])
+
+    def set_flat_params(self, flat: np.ndarray) -> None:
+        flat = np.asarray(flat, dtype=np.float64)
+        if flat.shape != (self.n_params,):
+            raise ValueError(f"expected {self.n_params} parameters, got {flat.shape}")
+        self.w = flat[:-1].copy()
+        self.b = flat[-1:].copy()
+
+    def forward(self, sequences):
+        last = np.array([x[-1] for x in _as_batch(sequences, self.feature_width)])
+        logits = last @ self.w + self.b[0]
+        if not np.all(np.isfinite(logits)):
+            raise NumericalError("non-finite activation in forward pass")
+        p = _sigmoid(logits)
+        return p, (last, p)
+
+    def backward(self, cache, d_prob) -> np.ndarray:
+        last, p = cache
+        dlogit = np.broadcast_to(np.asarray(d_prob, dtype=np.float64), p.shape) * p * (1.0 - p)
+        return np.concatenate([dlogit @ last, [dlogit.sum()]])
 
 
 def small_gru_factory(feature_width, rng):

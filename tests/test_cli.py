@@ -462,13 +462,41 @@ class TestTrain:
         worker of a pool gives the same exit code and message."""
         cross_validate = ev.cross_validate
         for where, jobs in (("caller", 1), ("worker", 2)):
-            monkeypatch.setattr(ev, "cross_validate", lambda *a, where=where, jobs=jobs, **kw:
-                                cross_validate(*a, **{**kw, "jobs": jobs,
-                                                      "model_factory": FailsIn(where, error)}))
+            monkeypatch.setattr(ev, "pool_size", lambda *_, jobs=jobs: jobs)
+            monkeypatch.setattr(ev, "cross_validate", lambda *a, where=where, **kw:
+                                cross_validate(*a, **kw, model_factory=FailsIn(where, error)))
             assert main(["train", "--cohort", str(cohort_dir / "cohort.csv"), "--out",
                          str(tmp_path / where), "--scheme", "none", "--epochs", "1"]) == code
             assert capsys.readouterr().err == f"{prefix}: {error}\n"
             assert_no_child_process()
+
+    @pytest.mark.parametrize("cohort", ["short_visit", "absent"])
+    def test_a_read_error_after_the_workers_started(self, tmp_path, monkeypatch, capfd, cohort):
+        """The workers start before the cohort is read; a read that fails
+        kills them, and none of them writes to stderr."""
+        path = tmp_path / f"{cohort}.csv"
+        if cohort == "short_visit":
+            path.write_text("subject_id,visit,y,f_g,x_0,x_1\nA,0,1,1.0,0.1,0.2\n"
+                            "A,1,1,1.0,0.3\nB,0,0,2.0,0.5,0.6\n")
+            message = f"{path}: subject A: wrong feature count"
+        else:
+            message = f"cannot read {path}: [Errno 2] No such file or directory: '{path}'"
+        pools = []
+        fold_pool = ev.fold_pool
+
+        @contextlib.contextmanager
+        def watched(jobs):
+            with fold_pool(jobs) as pool:
+                pools.append(pool)
+                yield pool
+
+        monkeypatch.setattr(ev, "pool_size", lambda *_: 2)
+        monkeypatch.setattr(ev, "fold_pool", watched)
+        assert main(["train", "--cohort", str(path), "--out", str(tmp_path / "run")]) == 2
+        assert [len(pool) for pool in pools] == [1]
+        assert_no_child_process()
+        assert capfd.readouterr() == ("", f"data error: {message}\n")
+        assert not (tmp_path / "run").exists()
 
 
 class TestThreadPolicy:
@@ -810,7 +838,9 @@ class TestSurface:
                 assert args[1:] == (50, "auto") and kwargs == {"vectors": False}
             elif name == "cross_validate":
                 jobs = ev.pool_size(len(os.sched_getaffinity(0)), blas.threads(), 5)
-                assert args[2] == TrainConfig() and kwargs == {"n_folds": 5, "jobs": jobs}
+                assert args[2] == TrainConfig() and kwargs.keys() == {"n_folds", "pool"}
+                assert kwargs["n_folds"] == 5 and len(kwargs["pool"]) == jobs - 1
+                assert_no_child_process()
             else:
                 assert args[2:] == (TrainConfig(), ev.DEFAULT_K_GRID, ev.DEFAULT_C_GRID)
                 assert kwargs == {"n_folds": 5}

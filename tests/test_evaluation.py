@@ -1,6 +1,7 @@
 import itertools
 import math
 import pickle
+import time
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from specweight.evaluation import (
     f1_score,
     factor_subcohort_table,
     fold_job,
+    fold_pool,
     fold_scores,
     format_mean_std,
     mann_whitney_u,
@@ -29,6 +31,7 @@ from specweight.evaluation import (
     sweep,
 )
 from specweight.factor_graph import basis_from_factors
+from specweight.synth import SynthSpec, generate
 from specweight.training import TrainConfig, default_model_factory, predict
 
 
@@ -520,8 +523,8 @@ class TestFoldJob:
 
 
 class TestFoldPool:
-    """`cross_validate(..., jobs=n)` runs fold f in process f % n; process 0
-    is the caller."""
+    """`cross_validate(..., pool=...)` with the n workers of a `fold_pool`
+    runs fold f in process f % (n + 1); process 0 is the caller."""
 
     @pytest.mark.parametrize("scheme, jobs", [("spectral", 2), ("jtt", 3)])
     def test_pool_matches_serial_bit_for_bit(self, tiny_cohort, scheme, jobs):
@@ -529,7 +532,9 @@ class TestFoldPool:
         cfg = TrainConfig(scheme=scheme, epochs=1, batch_size=16, k_neighbors=8, m_basis=4,
                           seed=3)
         serial = cross_validate(data, factors, cfg, n_folds=3)
-        pooled = cross_validate(data, factors, cfg, n_folds=3, jobs=jobs)
+        with fold_pool(jobs) as pool:
+            assert len(pool) == jobs - 1
+            pooled = cross_validate(data, factors, cfg, n_folds=3, pool=pool)
         assert_no_child_process()
         assert pooled.probs.tobytes() == serial.probs.tobytes()
         assert pooled.weights.tobytes() == serial.weights.tobytes()
@@ -537,12 +542,50 @@ class TestFoldPool:
         for got, want in zip(pooled.models, serial.models, strict=True):
             assert got.flat_params().tobytes() == want.flat_params().tobytes()
 
+    def test_the_hand_off_never_waits_for_a_boot(self, monkeypatch):
+        """A job larger than the pipe buffer reaches a worker that is still
+        booting without holding up the caller's first fold."""
+        data, factors, _ = generate(SynthSpec())
+        cfg = TrainConfig(scheme="none", epochs=1, seed=5)
+        assert len(pickle.dumps((data, cfg))) > 64 * 1024
+        serial = cross_validate(data, factors, cfg, n_folds=3)
+        monkeypatch.setattr(evaluation, "_BOOT", "import time\ntime.sleep(1.0)\n" + evaluation._BOOT)
+        started = []
+        job = evaluation.fold_job
+        monkeypatch.setattr(evaluation, "fold_job", lambda *args: (
+            started.append(time.perf_counter()), job(*args))[1])
+        with fold_pool(2) as pool:
+            begin = time.perf_counter()
+            pooled = cross_validate(data, factors, cfg, n_folds=3, pool=pool)
+            end = time.perf_counter()
+        assert_no_child_process()
+        assert started[0] - begin < 0.5
+        assert end - begin >= 1.0   # the worker's boot did take its second
+        assert pooled.probs.tobytes() == serial.probs.tobytes()
+        for got, want in zip(pooled.models, serial.models, strict=True):
+            assert got.flat_params().tobytes() == want.flat_params().tobytes()
+
+    def test_the_block_kills_and_reaps_its_workers_on_an_error(self):
+        with pytest.raises(DataError, match="read failed"):
+            with fold_pool(3) as pool:
+                assert len(pool) == 2 and all(proc.poll() is None for proc in pool)
+                raise DataError("read failed")
+        assert all(proc.returncode is not None for proc in pool)
+        assert_no_child_process()
+
+    def test_a_worker_that_gets_no_job_exits_quietly(self, capfd):
+        with fold_pool(2) as pool:
+            pool[0].stdin.close()
+            assert pool[0].wait(timeout=60) == 0
+        assert capfd.readouterr() == ("", "")
+        assert_no_child_process()
+
     @pytest.mark.parametrize("error", [DataError("subject S1: bad"), NumericalError("diverged")])
     def test_a_worker_error_is_raised_again_in_the_caller(self, tiny_cohort, error):
         data, factors, _ = tiny_cohort
         cfg = TrainConfig(scheme="none", epochs=1, batch_size=16)
-        with pytest.raises(type(error)) as raised:
-            cross_validate(data, factors, cfg, n_folds=3, jobs=2,
+        with pytest.raises(type(error)) as raised, fold_pool(2) as pool:
+            cross_validate(data, factors, cfg, n_folds=3, pool=pool,
                            model_factory=FailsIn("worker", error))
         assert type(raised.value) is type(error) and str(raised.value) == str(error)
         assert_no_child_process()
@@ -550,8 +593,8 @@ class TestFoldPool:
     def test_a_caller_error_stops_the_worker(self, tiny_cohort):
         data, factors, _ = tiny_cohort
         cfg = TrainConfig(scheme="none", epochs=1, batch_size=16)
-        with pytest.raises(DataError, match="caller failed"):
-            cross_validate(data, factors, cfg, n_folds=3, jobs=2,
+        with pytest.raises(DataError, match="caller failed"), fold_pool(2) as pool:
+            cross_validate(data, factors, cfg, n_folds=3, pool=pool,
                            model_factory=FailsIn("caller", DataError("caller failed")))
         assert_no_child_process()
 
@@ -559,8 +602,9 @@ class TestFoldPool:
         data, factors, _ = tiny_cohort
         cfg = TrainConfig(scheme="none", epochs=1, batch_size=16)
         with pytest.raises(RuntimeError, match="fold worker exited with code 7 without a result"):
-            cross_validate(data, factors, cfg, n_folds=3, jobs=2,
-                           model_factory=FailsIn("worker", 7))
+            with fold_pool(2) as pool:
+                cross_validate(data, factors, cfg, n_folds=3, pool=pool,
+                               model_factory=FailsIn("worker", 7))
         assert_no_child_process()
 
     @pytest.mark.parametrize("cpus, threads, folds, jobs", [

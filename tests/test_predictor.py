@@ -7,8 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import LogisticFallback
 from specweight.predictor import (
-    LogisticFallback,
     RecurrentClassifier,
     bce_grad_prob,
     bce_loss,
