@@ -255,8 +255,10 @@ def cmd_train(args) -> int:
 def cmd_report(args) -> int:
     run, _, factor_names, factor_values, _ = load_run(args.run)
     rows, folds, y, prob, w = run.pooled_test()
-    bacc, f1, gap, tables = ev.pooled_analysis(folds, y, prob, w, factor_values[rows],
-                                               factor_names, run.n_folds)
+    bacc, f1 = ev.fold_scores(folds, y, prob, run.n_folds)
+    gap = ev.median_split_from_arrays(y, prob, w)
+    tables = [ev.factor_subcohort_table(w, y, prob, factor_values[rows, k], name)
+              for k, name in enumerate(factor_names)]
 
     out = _out_dir(args.out or args.run)
     for table in tables:

@@ -435,18 +435,6 @@ def factor_subcohort_table(weights, y, prob, factor_values, factor_name: str) ->
     return SubcohortReport(factor_name, groups, pairwise)
 
 
-def pooled_analysis(folds, y, prob, weights, factor_values, factor_names, n_folds: int):
-    """(fold_bacc, fold_f1, MedianSplitGap, one SubcohortReport per factor)
-    over test samples pooled across folds, one array entry (and one
-    `factor_values` row) per sample in `CVRun.pooled_test` order. The fold
-    metrics come from `fold_scores`."""
-    fold_bacc, fold_f1 = fold_scores(folds, y, prob, n_folds)
-    gap = median_split_from_arrays(y, prob, weights)
-    tables = [factor_subcohort_table(weights, y, prob, factor_values[:, k], name)
-              for k, name in enumerate(factor_names)]
-    return fold_bacc, fold_f1, gap, tables
-
-
 # ---------------------------------------------------------------------------
 # neighbor / centering sweep
 

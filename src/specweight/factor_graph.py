@@ -81,9 +81,6 @@ class FactorTable:
     def n_factors(self) -> int:
         return self.values.shape[1]
 
-    def column(self, name: str) -> np.ndarray:
-        return self.values[:, self.factor_names.index(name)]
-
 
 @dataclass(frozen=True)
 class FactorGraph:

@@ -37,11 +37,6 @@ class WeightField:
                 f"{self.basis.m_count}-column basis"
             )
 
-    @classmethod
-    def zeros(cls, centering_c, basis) -> "WeightField":
-        """Field with a = 0: every sample starts at the centering weight."""
-        return cls(centering_c, np.zeros(basis.m_count), basis)
-
     def weights(self, rows=None) -> np.ndarray:
         """w_i = c + sum_j E_ij a_j for the requested rows (all by default).
 

@@ -556,16 +556,18 @@ class TestReport:
         assert report["overall"]["per_fold"][0]["bacc"] == summary["fold_bacc"][0]
 
     def test_report_matches_in_memory_analysis(self, cohort_dir, run_dir, tmp_path):
-        """report.json from the run CSVs equals `pooled_analysis` over the
-        in-memory CV run of the same config and seed."""
+        """report.json from the run CSVs equals the scores, median split and
+        sub-cohort tables of the in-memory CV run of the same config and seed."""
         assert main(["report", "--run", str(run_dir), "--out", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "report.json").read_text())
         data, factors = read_cohort_csv(cohort_dir / "cohort.csv")
         cfg = TrainConfig(epochs=2, batch_size=16, k_neighbors=8, m_basis=4, seed=4)
         run = ev.cross_validate(data, factors, cfg, n_folds=5)
-        rows, folds, y, prob, w = run.pooled_test()
-        bacc, f1, gap, tables = ev.pooled_analysis(
-            folds, y, prob, w, factors.values[rows], factors.factor_names, run.n_folds)
+        bacc, f1 = run.scores()
+        gap = ev.median_split_gap(run)
+        rows, _, y, prob, w = run.pooled_test()
+        tables = [ev.factor_subcohort_table(w, y, prob, factors.values[rows, k], name)
+                  for k, name in enumerate(factors.factor_names)]
 
         assert report["overall"]["per_fold"] == [
             {"fold": fold, "bacc": b, "f1": f} for fold, (b, f) in enumerate(zip(bacc, f1))]

@@ -1,6 +1,9 @@
 import itertools
 import math
+import os
 import pickle
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -564,6 +567,17 @@ class TestFoldPool:
         assert pooled.probs.tobytes() == serial.probs.tobytes()
         for got, want in zip(pooled.models, serial.models, strict=True):
             assert got.flat_params().tobytes() == want.flat_params().tobytes()
+
+    def test_a_worker_boot_imports_no_command_module(self):
+        """The import in `_BOOT` loads the fold code only: not the synthetic
+        generator, the CLI or the run-directory writer."""
+        probe = ("import sys\n"
+                 "from specweight.evaluation import fold_worker\n"
+                 "print(sorted({'specweight.synth', 'specweight.cli', 'specweight.runio'}"
+                 " & set(sys.modules)))\n")
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             check=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+        assert out.stdout == "[]\n"
 
     def test_the_block_kills_and_reaps_its_workers_on_an_error(self):
         with pytest.raises(DataError, match="read failed"):

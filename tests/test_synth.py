@@ -59,7 +59,7 @@ class TestGenerate:
     def test_group_labels_match_noise_rule(self):
         spec = SynthSpec(n_subjects=50, feature_width=4, seed=8)
         data, factors, groups = generate(spec)
-        above = factors.column("group") > 0.0
+        above = factors.values[:, factors.factor_names.index("group")] > 0.0
         assert np.all((groups == "low") == above)  # flip_above is the smaller rate
 
 

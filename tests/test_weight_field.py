@@ -15,7 +15,7 @@ def single_column_basis():
 class TestWeights:
     def test_zero_coefficients_give_centering(self, small_basis):
         basis, _ = small_basis
-        fld = WeightField.zeros(0.65, basis)
+        fld = WeightField(0.65, np.zeros(basis.m_count), basis)
         assert np.all(fld.weights() == 0.65)
 
     def test_single_column_hand_case(self):
@@ -70,7 +70,7 @@ class TestNegativityPenalty:
 class TestGradA:
     def test_zero_losses_positive_weights(self, small_basis):
         basis, _ = small_basis
-        fld = WeightField.zeros(1.0, basis)
+        fld = WeightField(1.0, np.zeros(basis.m_count), basis)
         g = grad_a(fld, np.zeros(basis.n_samples), np.arange(basis.n_samples))
         assert np.array_equal(g, np.zeros(basis.m_count))
 
@@ -89,7 +89,7 @@ class TestGradA:
 
     def test_length_mismatch(self, small_basis):
         basis, _ = small_basis
-        fld = WeightField.zeros(1.0, basis)
+        fld = WeightField(1.0, np.zeros(basis.m_count), basis)
         with pytest.raises(ValueError):
             grad_a(fld, np.zeros(3), rows=np.array([0, 1]))
 
