@@ -28,7 +28,9 @@ def _openblas():
     """(get, set) thread-count functions of the OpenBLAS numpy loaded, or None."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = sorted({line.split()[-1] for line in fh if _LIBRARY in line})
+            # a maps line's path is all after its fifth field, spaces included
+            paths = sorted({line.rstrip("\n").split(maxsplit=5)[5]
+                            for line in fh if _LIBRARY in line})
     except OSError:
         return None
     for path in paths:

@@ -223,13 +223,13 @@ def write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def read_table(path, casts_for, key=None) -> tuple[list[str], list[list]]:
+def read_table(path, casts_for, key) -> tuple[list[str], list[list]]:
     """(header, columns) of a CSV table other than the cohort, read in one
     pass. `casts_for(header)` returns one cast per column, or raises
-    ValueError for a header it rejects; `key(row)`, if given, names what a
-    cast row is about, or returns None. A rejected header, a row with another
-    field count, a field whose cast raises ValueError or a second row with one
-    name is a DataError naming the file and, for a row, its line."""
+    ValueError for a header it rejects; `key(row)` names what a cast row is
+    about. A rejected header, a row with another field count, a field whose
+    cast raises ValueError or a second row with one name is a DataError
+    naming the file and, for a row, its line."""
     with _open_for_reading(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -243,11 +243,10 @@ def read_table(path, casts_for, key=None) -> tuple[list[str], list[list]]:
                 if len(row) != len(casts):
                     raise ValueError(f"expected {len(casts)} fields, got {len(row)}")
                 rows.append([cast(v) for cast, v in zip(casts, row)])
-                name = key and key(rows[-1])
+                name = key(rows[-1])
                 if name in names:
                     raise ValueError(f"duplicate {name}")
-                if name:
-                    names.add(name)
+                names.add(name)
             except ValueError as exc:
                 raise DataError(f"{path}:{reader.line_num}: {exc}") from None
     return header, [list(column) for column in zip(*rows)] if rows else [[] for _ in casts]

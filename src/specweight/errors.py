@@ -1,13 +1,9 @@
-"""Shared exception types mapped to CLI exit codes."""
+"""The two exception types that `cli.main` maps to exit codes."""
 
 
-class SpecweightError(Exception):
-    """Base class for package errors."""
-
-
-class DataError(SpecweightError):
+class DataError(Exception):
     """Malformed or inconsistent input data (CLI exit code 2)."""
 
 
-class NumericalError(SpecweightError):
+class NumericalError(Exception):
     """Numerical failure: divergence, non-finite values (CLI exit code 3)."""

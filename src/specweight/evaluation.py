@@ -255,12 +255,12 @@ def cross_validate(data: CohortDataset, factors: FactorTable | None, cfg: tr.Tra
                  list(manifests), list(models))
 
 
-# A worker reads its sys.path from stdin and imports specweight, which is its
-# boot; then it waits on stdin for its hand-off: the BLAS thread count, the path
-# of the job file and its folds. It writes one pickle to stdout: the list of its
-# folds' results, or the exception it raised.
-_BOOT = ("import pickle, sys\n"
-         "sys.path[:] = pickle.load(sys.stdin.buffer)\n"
+# A worker takes the caller's sys.path from its command line and imports
+# specweight, which is its boot; then it waits on stdin for its hand-off: the
+# BLAS thread count, the path of the job file and its folds. It writes one
+# pickle to stdout: the list of its folds' results, or the exception it raised.
+_BOOT = ("import sys\n"
+         "sys.path[:] = sys.argv[1:]\n"
          "from specweight.evaluation import fold_worker\n"
          "fold_worker()\n")
 
@@ -275,10 +275,9 @@ def fold_pool(jobs: int):
         pool = []
         for _ in range(jobs - 1):
             proc = stack.enter_context(subprocess.Popen(
-                [sys.executable, "-c", _BOOT], stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                bufsize=0))
+                [sys.executable, "-c", _BOOT, *sys.path], stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE, bufsize=0))
             stack.callback(proc.kill)   # runs first; a no-op once the worker has exited
-            proc.stdin.write(pickle.dumps(sys.path))   # fits the pipe buffer: never waits
             pool.append(proc)
         yield pool
 

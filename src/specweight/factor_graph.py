@@ -77,21 +77,12 @@ class FactorTable:
     def n_samples(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def n_factors(self) -> int:
-        return self.values.shape[1]
-
 
 @dataclass(frozen=True)
 class FactorGraph:
     """Symmetric kNN similarity graph with edge weights in [0, 1]."""
 
     adjacency: np.ndarray
-    k_neighbors: int
-
-    @property
-    def n_samples(self) -> int:
-        return self.adjacency.shape[0]
 
     @property
     def degree(self) -> np.ndarray:
@@ -190,7 +181,7 @@ def build_graph(factors: FactorTable, k: int) -> FactorGraph:
     adjacency = np.add(d2, 1.0, out=work)
     np.divide(1.0, adjacency, out=adjacency)
     adjacency *= neighbor_of
-    return FactorGraph(adjacency, k)
+    return FactorGraph(adjacency)
 
 
 def laplacian(g: FactorGraph) -> np.ndarray:

@@ -84,6 +84,13 @@ def assert_no_child_process():
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.fixture(autouse=True)
+def _no_child_process_left():
+    """Every test, pooled or not, ends with no child process of its own."""
+    yield
+    assert_no_child_process()
+
+
 @pytest.fixture(scope="session")
 def tiny_cohort():
     """60 subjects, 6 features: group-dependent label noise, fast to train on."""

@@ -528,6 +528,28 @@ class TestThreadPolicy:
         assert main(["synth", "--out", str(tmp_path), "--n-subjects", "6"]) == 0
         assert blas.threads() == count
 
+    def test_a_library_path_with_a_space_is_found(self, tmp_path, monkeypatch):
+        """A maps line's path is everything after its fifth field, spaces
+        included, as when numpy is installed under such a directory. The
+        path here is a link to the loaded library, so loading it returns
+        the same library."""
+        if blas.threads() is None:
+            pytest.skip("numpy's BLAS is not scipy-openblas")
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            loaded = next(line.rstrip("\n").split(maxsplit=5)[5] for line in fh
+                          if blas._LIBRARY in line)
+        link = tmp_path / "site with space" / Path(loaded).name
+        link.parent.mkdir()
+        link.symlink_to(loaded)
+        line = f"7f0000000000-7f0000001000 r-xp 00000000 00:00 0    {link}\n"
+        monkeypatch.setattr(blas, "open", lambda *args, **kwargs: io.StringIO(line),
+                            raising=False)
+        blas._openblas.cache_clear()
+        try:
+            assert isinstance(blas.threads(), int)
+        finally:
+            blas._openblas.cache_clear()
+
 
 class TestReport:
     def test_report_outputs(self, run_dir):

@@ -579,6 +579,13 @@ class TestFoldPool:
                              check=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
         assert out.stdout == "[]\n"
 
+    def test_a_worker_takes_its_path_from_its_command_line(self):
+        """A worker boots from the paths on its command line alone: with
+        nothing on stdin it exits quietly, having read no start-up message."""
+        out = subprocess.run([sys.executable, "-c", evaluation._BOOT, *sys.path],
+                             stdin=subprocess.DEVNULL, capture_output=True)
+        assert (out.returncode, out.stdout, out.stderr) == (0, b"", b"")
+
     def test_the_block_kills_and_reaps_its_workers_on_an_error(self):
         with pytest.raises(DataError, match="read failed"):
             with fold_pool(3) as pool:

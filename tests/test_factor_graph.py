@@ -138,13 +138,13 @@ class TestBuildGraph:
     @given(st.integers(0, 2 ** 32 - 1), st.integers(5, 25), st.integers(1, 3))
     def test_invariants_on_random_tables(self, seed, n, d):
         rng = np.random.default_rng(seed)
-        g = build_graph(standardize(table(rng.normal(size=(n, d)))),
-                        k=int(rng.integers(1, n)))
-        a = g.adjacency
+        factors = standardize(table(rng.normal(size=(n, d))))
+        k = int(rng.integers(1, n))
+        a = build_graph(factors, k=k).adjacency
         assert np.array_equal(a, a.T)
         assert np.all(np.diag(a) == 0.0)
         assert np.all((a >= 0.0) & (a <= 1.0))
-        assert np.all((a > 0).sum(axis=1) >= g.k_neighbors)
+        assert np.all((a > 0).sum(axis=1) >= k)
 
     @staticmethod
     def argsort_adjacency(factors, k):
