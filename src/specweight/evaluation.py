@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-import os
 import pickle
 import subprocess
 import sys
@@ -201,7 +200,6 @@ def fold_job(data: CohortDataset, cfg: tr.TrainConfig, folds: np.ndarray, fold: 
     manifest = {"fold": fold, "scheme": cfg.scheme, "seed": fold_cfg.seed,
                 "config": dict(vars(cfg)), "initial_objective": history.initial_objective,
                 "final_objective": history.final_objective, "epoch_losses": history.epoch_losses,
-                "blas_threads": {name: os.environ.get(name) for name in blas.THREAD_VARS},
                 "blas_threads_used": blas.threads()}
     return result.probs, result.weights, manifest, result.model
 

@@ -395,8 +395,6 @@ class TestTrain:
         assert manifest["config"]["epochs"] == 2
         assert len(manifest["epoch_losses"]) == 2
         assert np.isfinite(manifest["final_objective"])
-        assert set(manifest["blas_threads"]) == {
-            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
 
     def test_jtt_weights_binary(self, cohort_dir, tmp_path):
         rc = main(["train", "--cohort", str(cohort_dir / "cohort.csv"),

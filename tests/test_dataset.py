@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specweight import dataset
 from specweight.cli import main
 from specweight.dataset import (
     CohortDataset,
@@ -324,6 +325,202 @@ def test_readers_agree_on_valid_cohorts(tmp_path, spec):
     assert ids == full_data.subject_ids
     assert factors_only.factor_names == full_factors.factor_names
     assert factors_only.values.tobytes() == full_factors.values.tobytes()
+
+
+def csv_walk(path, features):
+    """What `_csv_walk` alone reads from `path`, the reference for both
+    readers: (ids, labels, visits or None, factor table), or the text of the
+    DataError it raises, which names the file as the readers' errors do."""
+    try:
+        with dataset._open_for_reading(path) as fh:
+            try:
+                subjects, factor_rows, names = dataset._csv_walk(fh, features)
+                factors = FactorTable(np.array(factor_rows, dtype=np.float64), tuple(names))
+            except DataError as exc:
+                raise DataError(f"{path}: {exc}") from None
+    except DataError as exc:
+        return str(exc)
+    if not features:
+        return subjects, None, None, factors
+    return ([s.subject_id for s in subjects], [s.label for s in subjects],
+            [s.visits for s in subjects], factors)
+
+
+def read_both(path):
+    """read_cohort_csv and read_factor_table on `path`, each as `csv_walk`
+    gives it."""
+    found = []
+    for reader in (read_cohort_csv, read_factor_table):
+        try:
+            first, factors = reader(path)
+        except DataError as exc:
+            found.append(str(exc))
+            continue
+        if reader is read_factor_table:
+            found.append((first, None, None, factors))
+        else:
+            found.append((first.subject_ids, [s.label for s in first.subjects],
+                          [s.visits for s in first.subjects], factors))
+    return found
+
+
+def assert_walks_agree(path):
+    """Both readers return what the csv walk returns, compared bit for bit,
+    or raise its exact DataError."""
+    for got, features in zip(read_both(path), (True, False)):
+        want = csv_walk(path, features)
+        if isinstance(want, str) or isinstance(got, str):
+            assert got == want
+            continue
+        assert got[0] == want[0]
+        assert got[1] == want[1]
+        if features:
+            assert [v.shape for v in got[2]] == [v.shape for v in want[2]]
+            assert [v.tobytes() for v in got[2]] == [v.tobytes() for v in want[2]]
+        assert got[3].factor_names == want[3].factor_names
+        assert got[3].values.shape == want[3].values.shape
+        assert got[3].values.tobytes() == want[3].values.tobytes()
+
+
+_QUOTED_IDS = ["a,b", 'q"q', "x\ny", "x\ry"]
+
+
+def _quoted_cohort_bytes(tmp_path) -> bytes:
+    """A cohort written by write_cohort_csv whose ids csv must quote, each
+    between plain ones."""
+    ids = [sid for k, quoted in enumerate(_QUOTED_IDS) for sid in (f"P{k}", quoted)]
+    rng = np.random.default_rng(3)
+    data = CohortDataset(tuple(Subject(sid, rng.normal(size=(1 + i % 3, 2)), i % 2)
+                               for i, sid in enumerate(ids + ["Z"])))
+    factors = FactorTable(rng.normal(size=(data.n_samples, 2)), ("g", "h"))
+    path = tmp_path / "quoted_source.csv"
+    write_cohort_csv(path, data, factors)
+    return path.read_bytes()
+
+
+# Files beyond PINNED and MALFORMED that the clean walk must leave to the csv
+# walk, or must read as it does.
+WALK_CASES = {
+    "quoted-ids": _quoted_cohort_bytes,
+    "quoted-ids-crlf": lambda tmp: _quoted_cohort_bytes(tmp).replace(b"\n", b"\r\n"),
+    "crlf": lambda tmp: (_H + "A,0,1,1.0,2.0,0.1,0.2\nA,1,1,1.0,2.0,0.3,0.4\n" + _B)
+    .replace("\n", "\r\n").encode(),
+    "nul-in-feature": lambda tmp: (_H + "A,0,1,1.0,2.0,0.1,0.\x002\n" + _B).encode(),
+    "feature-over-field-limit": lambda tmp: (
+        _H + "A,0,1,1.0,2.0,0.1,0." + "1" * csv.field_size_limit() + "\n" + _B).encode(),
+    "no-final-newline": lambda tmp: (_H + "A,0,1,1.0,2.0,0.1,0.2\n" + _B[:-1]).encode(),
+    "trailing-blank-line": lambda tmp: (_H + "A,0,1,1.0,2.0,0.1,0.2\n" + _B + "\n").encode(),
+    "byte-order-mark": lambda tmp: b"\xef\xbb\xbf" + (_H + "A,0,1,1.0,2.0,0.1,0.2\n" + _B).encode(),
+    "not-utf8": lambda tmp: (_H + "A,0,1,1.0,2.0,0.1,0.2\n").encode() + b"B,0,0,3.0,4.0,\xff,0.6\n",
+    "header-over-field-limit": lambda tmp: (
+        _H.replace("f_h", "f_" + "h" * csv.field_size_limit()) + "A,0,1,1.0,2.0,0.1,0.2\n" + _B)
+    .encode(),
+    "id-changes-mid-block": lambda tmp: (
+        _H + "A,0,1,1.0,2.0,0.1,0.2\nB,1,1,1.0,2.0,0.3,0.4\nC,0,0,3.0,4.0,0.5,0.6\n").encode(),
+    "visits-restart": lambda tmp: (_H + "A,0,1,1.0,2.0,0.1,0.2\nA,0,1,1.0,2.0,0.3,0.4\n" + _B)
+    .encode(),
+    "block-repeats": lambda tmp: (_H + "A,0,1,1.0,2.0,0.1,0.2\n" + _B + "A,0,1,1.0,2.0,0.3,0.4\n")
+    .encode(),
+    "block-repeats-chunks-later": lambda tmp: (
+        _H + "A,0,1,1.0,2.0,0.1,0.2\n"
+        + "".join(f"S{i:05d},0,0,3.0,4.0,0.5,0.6\n" for i in range(5000))
+        + "A,0,1,1.0,2.0,0.3,0.4\n").encode(),
+}
+
+
+@pytest.mark.parametrize("name", [f"pinned-{n}" for n in PINNED] + [f"malformed-{n}" for n in MALFORMED]
+                         + list(WALK_CASES))
+def test_both_walks_read_alike(tmp_path, name):
+    """Every pinned, malformed and extra file: both readers equal the csv walk."""
+    path = tmp_path / "x.csv"
+    if name.startswith("pinned-"):
+        path.write_text(PINNED[name.removeprefix("pinned-")][0], encoding="utf-8")
+    elif name.startswith("malformed-"):
+        path.write_text(MALFORMED[name.removeprefix("malformed-")], encoding="utf-8")
+    else:
+        path.write_bytes(WALK_CASES[name](tmp_path))
+    assert_walks_agree(path)
+
+
+def test_clean_walk_reads_a_written_cohort(tmp_path):
+    """The clean walk accepts what write_cohort_csv writes for plain ids, and
+    leaves quoted ids and CRLF line ends to the csv walk."""
+    data, factors, _ = generate(SynthSpec(n_subjects=60, feature_width=6, seed=11))
+    path = tmp_path / "cohort.csv"
+    write_cohort_csv(path, data, factors)
+    quoted = tmp_path / "quoted.csv"
+    quoted.write_bytes(_quoted_cohort_bytes(tmp_path))
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    for features in (False, True):
+        with dataset._open_for_reading(path) as fh:
+            subjects, _, names = dataset._clean_walk(fh, features)
+        assert len(subjects) == 60 and names == list(factors.factor_names)
+        for other in (quoted, crlf):
+            with dataset._open_for_reading(other) as fh:
+                assert dataset._clean_walk(fh, features) is None
+        assert_walks_agree(crlf)
+
+
+def test_clean_walk_carries_a_subject_across_chunks(tmp_path):
+    """A cohort over several 64 KiB chunks, with a 600-visit subject whose
+    rows span the first chunk boundary, reads as the csv walk reads it."""
+    rng = np.random.default_rng(0)
+    subjects = [Subject(f"S{i:03d}", rng.normal(size=(600 if i == 5 else 1 + i % 4, 8)), i % 2)
+                for i in range(200)]
+    data = CohortDataset(tuple(subjects))
+    factors = FactorTable(rng.normal(size=(200, 3)), ("a", "b", "c"))
+    path = tmp_path / "cohort.csv"
+    write_cohort_csv(path, data, factors)
+    lines = path.read_bytes().split(b"\n")
+    first = [i for i, line in enumerate(lines) if line.startswith(b"S005,")]
+    before = sum(len(line) + 1 for line in lines[:first[0]])
+    assert before < 1 << 16 < before + sum(len(lines[i]) + 1 for i in first)
+    assert path.stat().st_size > 2 * (1 << 16)
+    with dataset._open_for_reading(path) as fh:
+        assert dataset._clean_walk(fh, True) is not None
+    assert_walks_agree(path)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ids=st.lists(st.text(alphabet='ab,"\n\r', max_size=4), min_size=1, max_size=5, unique=True),
+       seed=st.integers(0, 2**16))
+def test_written_cohorts_read_alike(ids, seed):
+    """write_cohort_csv, then both readers, over ids with the characters csv
+    quotes: the subjects written, and what the csv walk reads."""
+    rng = np.random.default_rng(seed)
+    data = CohortDataset(tuple(Subject(sid, rng.normal(size=(1 + rng.integers(3), 2)), i % 2)
+                               for i, sid in enumerate(ids)))
+    factors = FactorTable(rng.normal(size=(len(ids), 2)), ("g", "h"))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cohort.csv"
+        write_cohort_csv(path, data, factors)
+        assert_walks_agree(path)
+        full, factors_read = read_cohort_csv(path)
+        assert full.subject_ids == ids
+        assert [s.visits.tobytes() for s in full.subjects] == [
+            s.visits.tobytes() for s in data.subjects]
+        assert factors_read.values.tobytes() == factors.values.tobytes()
+
+
+def test_a_byte_order_mark_is_dropped(tmp_path, capsys):
+    """A cohort that starts with a UTF-8 byte-order mark, as spreadsheet
+    exports write, reads as the same file without it, and graph and train
+    run on it."""
+    data, factors, _ = generate(SynthSpec(n_subjects=40, feature_width=3, seed=2))
+    plain = tmp_path / "plain.csv"
+    write_cohort_csv(plain, data, factors)
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    for reader in (read_cohort_csv, read_factor_table):
+        first, table = reader(marked)
+        ids = first.subject_ids if reader is read_cohort_csv else first
+        assert ids == data.subject_ids
+        assert table.values.tobytes() == reader(plain)[1].values.tobytes()
+    for command in ("graph", "train"):
+        extra = ["--k", "5"] + (["--epochs", "1", "--folds", "2"] if command == "train" else [])
+        assert main([command, "--cohort", str(marked), "--out", str(tmp_path / command), *extra]) == 0
+    capsys.readouterr()
 
 
 def test_subject_validation():

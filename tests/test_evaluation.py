@@ -496,7 +496,7 @@ class TestFoldJob:
             assert np.array_equal(weights, run.weights[fold], equal_nan=True)
             assert manifest == run.manifests[fold]
             assert list(manifest) == ["fold", "scheme", "seed", "config", "initial_objective",
-                                      "final_objective", "epoch_losses", "blas_threads",
+                                      "final_objective", "epoch_losses",
                                       "blas_threads_used"]
             assert np.array_equal(model.flat_params(), run.models[fold].flat_params())
 

@@ -4,7 +4,8 @@ The run (`COMMANDS`) is a 60-subject cohort taken through every command and
 scheme, plus a `graph --dump-graph --k 1` whose basis has exact zeros. Each
 command runs as `python -m specweight` in a fresh process, from relative
 paths, with `OPENBLAS_NUM_THREADS=1` and the other BLAS thread variables
-unset, because the manifests echo them. The SHA-256 of every file written is
+unset, so that every process runs at the one BLAS thread that the manifests
+record as `blas_threads_used`. The SHA-256 of every file written is
 compared with `tests/golden/sha256.txt`; `scripts/update_golden.py` rewrites
 that file, and a change that alters output bytes on purpose rewrites it in
 the same commit and says which files changed and why.
