@@ -289,6 +289,9 @@ def cmd_report(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    """Write sweep_grid.csv, then print its median-split gaps as a K x c grid
+    in the order the grids were given, and the first cell with the largest gap.
+    `ev.sweep` builds every K's basis before any cell trains."""
     cfg = _effective(args, _SWEEP)
     base_cfg = _build(tr.TrainConfig, cfg)
     k_values, c_values = cfg["k_grid"], cfg["c_grid"]
@@ -307,6 +310,14 @@ def cmd_sweep(args) -> int:
                 "" if math.isnan(cell.bacc_low) else cell.bacc_low,
                 cell.overall_bacc, int(cell.degenerate)] for cell in cells])
     print(f"wrote {len(cells)} sweep cells to {out / 'sweep_grid.csv'}")
+    n_c = len(c_values)
+    print("\nmedian-split gap (BACC points), rows = K, cols = c")
+    print("      " + "".join(f"{cell.c:>8.2f}" for cell in cells[:n_c]))
+    for i in range(0, len(cells), n_c):
+        row = cells[i:i + n_c]
+        print(f"K={row[0].k:<4}" + "".join(f"{cell.gap_points:>8.2f}" for cell in row))
+    best = max(cells, key=lambda cell: cell.gap_points)  # the first of equal gaps
+    print(f"\nbest cell: K={best.k} c={best.c} gap={best.gap_points:.2f} points")
     return EXIT_OK
 
 

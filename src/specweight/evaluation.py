@@ -455,11 +455,13 @@ def sweep(data: CohortDataset, factors: FactorTable, cfg: tr.TrainConfig,
 
     Cells run the spectral scheme independently, each under seed + cell index
     (row-major over the grid); the basis is shared across centering values for
-    a given neighbor count since it does not depend on c.
+    a given neighbor count since it does not depend on c. Every K's basis is
+    built before any cell trains, so a K or `m_basis` that the cohort cannot
+    take is a DataError before any training.
     """
+    bases = [basis_from_factors(factors, k, cfg.m_basis)[0] for k in k_values]
     cells = []
-    for ik, k in enumerate(k_values):
-        basis, _ = basis_from_factors(factors, k, cfg.m_basis)
+    for ik, (k, basis) in enumerate(zip(k_values, bases)):
         for ic, c in enumerate(c_values):
             cell_seed = cfg.seed + ik * len(c_values) + ic
             cell_cfg = replace(cfg, scheme="spectral", k_neighbors=k,

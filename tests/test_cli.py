@@ -802,6 +802,34 @@ class TestSweep:
         assert main(["sweep", "--cohort", str(cohort_dir / "cohort.csv"),
                      "--out", str(tmp_path), "--k", ""]) == 1
 
+    def test_prints_the_default_grid_and_best_cell(self, tmp_path):
+        # 120 subjects: K=100, the largest default K, needs more than 101
+        synth = run_cli("synth", "--out", tmp_path / "cohort", "--n-subjects", "120")
+        assert synth.returncode == 0, synth.stderr
+        proc = run_cli("sweep", "--cohort", tmp_path / "cohort" / "cohort.csv",
+                       "--out", tmp_path / "sweep", "--epochs", "1")
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        lines = proc.stdout.splitlines()
+        start = lines.index("median-split gap (BACC points), rows = K, cols = c")
+        assert lines[start + 1].split() == ["0.50", "0.65", "0.70", "0.75", "1.00"]
+        rows = lines[start + 2:start + 7]
+        assert [row.split()[0] for row in rows] == ["K=10", "K=30", "K=50", "K=75", "K=100"]
+        assert all(len(row.split()) == 6 for row in rows)
+        assert lines[-1].startswith("best cell: K=")
+        assert (tmp_path / "sweep" / "sweep_grid.csv").is_file()
+
+    def test_grid_keeps_the_given_order(self, cohort_dir, tmp_path, capsys):
+        assert main(["sweep", "--cohort", str(cohort_dir / "cohort.csv"), "--out", str(tmp_path),
+                     "--k", "10,5", "--c", "1.0,0.5", "--epochs", "1", "--m", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        start = lines.index("median-split gap (BACC points), rows = K, cols = c")
+        assert lines[start + 1].split() == ["1.00", "0.50"]
+        assert [row.split()[0] for row in lines[start + 2:start + 4]] == ["K=10", "K=5"]
+        rows = read_csv(tmp_path / "sweep_grid.csv")[1:]
+        best = max(rows, key=lambda row: float(row[3]))  # the first of equal gaps
+        assert lines[-1] == f"best cell: K={best[0]} c={best[1]} gap={float(best[3]):.2f} points"
+
 
 # Every subcommand's (option string, dest) pairs, help excluded.
 SURFACE = {

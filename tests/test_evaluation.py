@@ -481,6 +481,14 @@ class TestFoldJob:
               model_factory=logistic_factory)
         assert job_calls == [0, 1, 2] * (2 * 3)
 
+    def test_sweep_checks_every_k_before_it_trains(self, tiny_cohort, job_calls):
+        data, factors, _ = tiny_cohort
+        cfg = TrainConfig(epochs=1, lr_model=5e-2, batch_size=16, m_basis=3, seed=5)
+        with pytest.raises(DataError, match="k_neighbors must be in"):
+            sweep(data, factors, cfg, k_values=(5, data.n_samples), c_values=(0.5,),
+                  n_folds=3, model_factory=logistic_factory)
+        assert job_calls == []
+
     @pytest.mark.parametrize("scheme", ["spectral", "none", "only_graph", "jtt"])
     def test_each_job_returns_what_cross_validate_keeps(self, tiny_cohort, scheme):
         data, factors, _ = tiny_cohort
