@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import os
 import pickle
 import subprocess
 import sys
@@ -267,20 +268,28 @@ _BOOT = ("import sys\n"
 def fold_pool(jobs: int):
     """The list of `jobs - 1` worker processes for one `cross_validate(...,
     pool=...)` call, all started at once, so that they boot while the caller
-    does other work. Each worker waits for its job once booted. Every worker
-    has been killed and reaped when the block exits, on any path."""
+    does other work. A worker's environment sets `OPENBLAS_NUM_THREADS` to
+    the caller's thread count, so its OpenBLAS loads at that count and starts
+    no thread it will not use; the caller's own environment is left as it is.
+    Each worker waits for its job once booted. Every worker has been killed
+    and reaped when the block exits, on any path."""
+    threads = blas.threads()
+    env = None if threads is None else dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
     with contextlib.ExitStack() as stack:
         pool = []
         for _ in range(jobs - 1):
             proc = stack.enter_context(subprocess.Popen(
                 [sys.executable, "-c", _BOOT, *sys.path], stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE, bufsize=0))
+                stdout=subprocess.PIPE, bufsize=0, env=env))
             stack.callback(proc.kill)   # runs first; a no-op once the worker has exited
             pool.append(proc)
         yield pool
 
 
 def _worker_result(proc: subprocess.Popen) -> list:
+    """The results of a worker's folds, or its exception raised again here.
+    The worker ends as soon as its result is flushed (see `fold_worker`), so
+    the wait for its exit holds no interpreter teardown."""
     out, _ = proc.communicate()
     if proc.returncode != 0 or not out:
         raise RuntimeError(f"fold worker exited with code {proc.returncode} "
@@ -292,7 +301,10 @@ def _worker_result(proc: subprocess.Popen) -> list:
 
 
 def fold_worker() -> None:
-    """Entry point of a `fold_pool` worker process (see `_BOOT`)."""
+    """Entry point of a `fold_pool` worker process (see `_BOOT`). It applies
+    the hand-off's thread count, since the caller's may have changed after
+    the pool started. Once its result is flushed it ends with `os._exit(0)`,
+    skipping the interpreter's teardown, which the caller would wait on."""
     out, sys.stdout = sys.stdout.buffer, sys.stderr   # the result is all it writes there
     try:
         threads, path, mine = pickle.load(sys.stdin.buffer)
@@ -308,6 +320,8 @@ def fold_worker() -> None:
         result = exc
     pickle.dump(result, out)
     out.flush()
+    sys.stderr.flush()
+    os._exit(0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import atexit
 import os
+import time
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from specweight.errors import NumericalError
 from specweight.factor_graph import FactorTable, basis_from_factors
 from specweight.predictor import RecurrentClassifier, _as_batch, _sigmoid
 from specweight.synth import SynthSpec, generate
+from specweight.training import default_model_factory
 
 
 class LogisticFallback:
@@ -77,6 +80,20 @@ class FailsIn:
                 os._exit(self.error)
             raise self.error
         return small_gru_factory(feature_width, rng)
+
+
+class SlowExitInWorker:
+    """A picklable model factory that, outside the process that made it,
+    puts a 20 s sleep on the interpreter's exit; everywhere it builds
+    `default_model_factory`'s model."""
+
+    def __init__(self):
+        self.pid = os.getpid()
+
+    def __call__(self, feature_width, rng):
+        if os.getpid() != self.pid:
+            atexit.register(time.sleep, 20)
+        return default_model_factory(feature_width, rng)
 
 
 def assert_no_child_process():

@@ -11,8 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FailsIn, assert_no_child_process, logistic_factory, small_gru_factory
-from specweight import evaluation
+from conftest import (
+    FailsIn,
+    SlowExitInWorker,
+    assert_no_child_process,
+    logistic_factory,
+    small_gru_factory,
+)
+from specweight import blas, evaluation
 from specweight.errors import DataError, NumericalError
 from specweight.evaluation import (
     DEFAULT_C_GRID,
@@ -533,6 +539,16 @@ class TestFoldJob:
         assert np.all(predict(data, back[3], rows, 16) == 0.5)
 
 
+def assert_same_run(got: CVRun, want: CVRun):
+    """Two runs of one scheme agree bit for bit: probabilities, weights,
+    manifests and every fold model's parameters."""
+    assert got.probs.tobytes() == want.probs.tobytes()
+    assert got.weights.tobytes() == want.weights.tobytes()
+    assert got.manifests == want.manifests
+    for got_model, want_model in zip(got.models, want.models, strict=True):
+        assert got_model.flat_params().tobytes() == want_model.flat_params().tobytes()
+
+
 class TestFoldPool:
     """`cross_validate(..., pool=...)` with the n workers of a `fold_pool`
     runs fold f in process f % (n + 1); process 0 is the caller."""
@@ -547,11 +563,7 @@ class TestFoldPool:
             assert len(pool) == jobs - 1
             pooled = cross_validate(data, factors, cfg, n_folds=3, pool=pool)
         assert_no_child_process()
-        assert pooled.probs.tobytes() == serial.probs.tobytes()
-        assert pooled.weights.tobytes() == serial.weights.tobytes()
-        assert pooled.manifests == serial.manifests
-        for got, want in zip(pooled.models, serial.models, strict=True):
-            assert got.flat_params().tobytes() == want.flat_params().tobytes()
+        assert_same_run(pooled, serial)
 
     def test_the_hand_off_never_waits_for_a_boot(self, monkeypatch):
         """A job larger than the pipe buffer reaches a worker that is still
@@ -572,9 +584,42 @@ class TestFoldPool:
         assert_no_child_process()
         assert started[0] - begin < 0.5
         assert end - begin >= 1.0   # the worker's boot did take its second
-        assert pooled.probs.tobytes() == serial.probs.tobytes()
-        for got, want in zip(pooled.models, serial.models, strict=True):
-            assert got.flat_params().tobytes() == want.flat_params().tobytes()
+        assert_same_run(pooled, serial)
+
+    def test_a_worker_boots_at_the_callers_thread_count(self, monkeypatch):
+        """With no thread variable set, a worker's environment still carries
+        the caller's count, so its OpenBLAS loads at that count; the caller's
+        own environment gains no variable."""
+        if blas.threads() is None or not os.path.isdir("/proc"):
+            pytest.skip("needs a BLAS whose thread count can be read, and /proc")
+        for name in blas.THREAD_VARS:
+            monkeypatch.delenv(name, raising=False)
+        before = blas.threads()
+        blas.set_threads(1)
+        try:
+            with fold_pool(2) as pool:
+                with open(f"/proc/{pool[0].pid}/environ", "rb") as fh:
+                    environ = fh.read().split(b"\0")
+        finally:
+            blas.set_threads(before)
+        assert b"OPENBLAS_NUM_THREADS=1" in environ
+        assert "OPENBLAS_NUM_THREADS" not in os.environ
+
+    def test_the_caller_does_not_wait_on_a_slow_worker_exit(self, tiny_cohort):
+        """Once a worker has flushed its result, the caller takes it without
+        waiting for the worker's interpreter to run its exit handlers."""
+        data, factors, _ = tiny_cohort
+        cfg = TrainConfig(scheme="none", epochs=1, batch_size=16, seed=2)
+        factory = SlowExitInWorker()
+        serial = cross_validate(data, factors, cfg, n_folds=3, model_factory=factory)
+        with fold_pool(2) as pool:
+            begin = time.perf_counter()
+            pooled = cross_validate(data, factors, cfg, n_folds=3, pool=pool,
+                                    model_factory=factory)
+            elapsed = time.perf_counter() - begin
+        assert_no_child_process()
+        assert elapsed < 10.0
+        assert_same_run(pooled, serial)
 
     def test_a_worker_boot_imports_no_command_module(self):
         """The import in `_BOOT` loads the fold code only: not the synthetic
