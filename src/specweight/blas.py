@@ -1,10 +1,11 @@
 """The BLAS thread count of this process, read and set at run time.
 
-numpy's wheels bundle scipy-openblas, whose `scipy_openblas_get_num_threads64_`
-and `..._set_...` are reached through `ctypes` on the library that
-`/proc/self/maps` lists, so nothing beyond the standard library is needed.
-On any other BLAS, or where `/proc` is missing, `threads()` is None and
-`set_threads` does nothing.
+numpy's wheels bundle scipy-openblas, which numpy's linear-algebra extension
+links. A `ctypes` handle on that extension resolves the library's
+`scipy_openblas_get_num_threads64_` and `..._set_...`, since `dlsym` on a
+handle also searches the libraries its object links; so no file is read and
+nothing beyond the standard library is needed. On any other BLAS
+`threads()` is None and `set_threads` does nothing.
 
 The last bits of the eigensolver and of the GRU's matrix products depend on
 the thread count, so every process of one run must use the same count.
@@ -16,34 +17,26 @@ import ctypes
 import functools
 import os
 
-import numpy  # noqa: F401  (loads the BLAS that the lookup below finds)
-
-# The variables that set the thread count when numpy loads its BLAS.
-THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-_LIBRARY = "libscipy_openblas64_"
+# The variables that set the thread count when numpy loads its OpenBLAS.
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 @functools.cache
 def _openblas():
-    """(get, set) thread-count functions of the OpenBLAS numpy loaded, or None."""
+    """(get, set) thread-count functions of the OpenBLAS numpy links, or None."""
     try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            # a maps line's path is all after its fifth field, spaces included
-            paths = sorted({line.rstrip("\n").split(maxsplit=5)[5]
-                            for line in fh if _LIBRARY in line})
-    except OSError:
+        from numpy.linalg import _umath_linalg
+
+        # fspath raises TypeError on a None __file__, where CDLL would
+        # open the main program instead
+        lib = ctypes.CDLL(os.fspath(_umath_linalg.__file__))
+        get = lib.scipy_openblas_get_num_threads64_
+        put = lib.scipy_openblas_set_num_threads64_
+    except (ImportError, TypeError, OSError, AttributeError):
         return None
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-            get = lib.scipy_openblas_get_num_threads64_
-            put = lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        put.argtypes, put.restype = [ctypes.c_int], None
-        return get, put
-    return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
 
 
 def threads() -> int | None:

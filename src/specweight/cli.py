@@ -65,7 +65,7 @@ def _read_config_file(path) -> dict[str, str]:
     """The key=value pairs of a config file; a key given twice is a DataError."""
     out, line_of = {}, {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read config file {path}: {exc}") from None
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -375,6 +375,8 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except BrokenPipeError:
+        raise   # stdout closed by its reader: entrypoint's to handle
     except OSError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
@@ -384,7 +386,17 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    """Run `main` and exit with its code. Every command prints only after
+    its files are written, so a stdout closed by its reader ends the run
+    with 0; fd 1 then points at os.devnull, which keeps the interpreter's
+    last flush silent."""
+    code = EXIT_OK
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

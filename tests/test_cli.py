@@ -1,4 +1,5 @@
 import argparse
+import builtins
 import contextlib
 import csv
 import io
@@ -41,7 +42,7 @@ def run_at_threads(args, threads, out):
     """Run the CLI in a subprocess with every BLAS thread variable set to
     `threads`; return the bytes of each file it wrote to `out`."""
     env = dict(os.environ, PYTHONPATH=SRC)
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    for var in blas.THREAD_VARS:
         env[var] = str(threads)
     subprocess.run(
         [sys.executable, "-c", "import sys; from specweight.cli import main; sys.exit(main())",
@@ -189,13 +190,17 @@ class TestSynth:
         assert not (tmp_path / "out").exists()
 
     def test_config_file_with_flag_override(self, tmp_path):
-        cfgfile = tmp_path / "spec.cfg"
-        cfgfile.write_text("n_subjects=25\nfeature_width=4\nseed=5\n# comment\n")
-        out = tmp_path / "out"
-        assert main(["synth", "--out", str(out), "--config", str(cfgfile),
-                     "--n-subjects", "30"]) == 0
-        rows = read_csv(out / "cohort.csv")
+        """A config file that starts with a UTF-8 byte-order mark reads as
+        the same file without it."""
+        for name, mark in (("out", ""), ("bom", "\ufeff")):
+            cfgfile = tmp_path / f"{name}.cfg"
+            cfgfile.write_text(f"{mark}n_subjects=25\nfeature_width=4\nseed=5\n# comment\n",
+                               encoding="utf-8")
+            assert main(["synth", "--out", str(tmp_path / name), "--config", str(cfgfile),
+                         "--n-subjects", "30"]) == 0
+        rows = read_csv(tmp_path / "out" / "cohort.csv")
         assert len({r[0] for r in rows[1:]}) == 30  # flag beats config
+        assert rows == read_csv(tmp_path / "bom" / "cohort.csv")
 
     def test_unknown_config_key(self, tmp_path):
         cfgfile = tmp_path / "spec.cfg"
@@ -526,27 +531,58 @@ class TestThreadPolicy:
         assert main(["synth", "--out", str(tmp_path), "--n-subjects", "6"]) == 0
         assert blas.threads() == count
 
-    def test_a_library_path_with_a_space_is_found(self, tmp_path, monkeypatch):
-        """A maps line's path is everything after its fifth field, spaces
-        included, as when numpy is installed under such a directory. The
-        path here is a link to the loaded library, so loading it returns
-        the same library."""
+    def test_mkl_num_threads_alone_leaves_one_thread(self, count, tmp_path, monkeypatch):
+        """numpy's scipy-openblas never reads MKL_NUM_THREADS, so it must
+        not switch the policy off."""
+        monkeypatch.setenv("MKL_NUM_THREADS", str(count))
+        blas.set_threads(count)
+        assert main(["synth", "--out", str(tmp_path), "--n-subjects", "6"]) == 0
+        assert blas.threads() == 1
+
+    def test_threads_are_found_where_numpy_uses_scipy_openblas(self):
+        try:
+            name = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        except (TypeError, KeyError):
+            pytest.skip("numpy does not report its BLAS")
+        if name != "scipy-openblas":
+            pytest.skip(f"numpy's BLAS is {name}, not scipy-openblas")
+        assert isinstance(blas.threads(), int)
+
+    def test_the_lookup_reads_no_proc_file(self, monkeypatch):
         if blas.threads() is None:
             pytest.skip("numpy's BLAS is not scipy-openblas")
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            loaded = next(line.rstrip("\n").split(maxsplit=5)[5] for line in fh
-                          if blas._LIBRARY in line)
-        link = tmp_path / "site with space" / Path(loaded).name
-        link.parent.mkdir()
-        link.symlink_to(loaded)
-        line = f"7f0000000000-7f0000001000 r-xp 00000000 00:00 0    {link}\n"
-        monkeypatch.setattr(blas, "open", lambda *args, **kwargs: io.StringIO(line),
-                            raising=False)
+        real_open = open
+
+        def no_proc_open(file, *args, **kwargs):
+            if str(file).startswith("/proc"):
+                raise OSError(f"no {file} here")
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", no_proc_open)
         blas._openblas.cache_clear()
         try:
             assert isinstance(blas.threads(), int)
         finally:
             blas._openblas.cache_clear()
+
+    def test_a_library_path_with_a_space_is_found(self, tmp_path):
+        """numpy and its bundled libraries, linked under a directory whose
+        name holds a space and put first on PYTHONPATH, still give a thread
+        count in a fresh process."""
+        if blas.threads() is None:
+            pytest.skip("numpy's BLAS is not scipy-openblas")
+        site = Path(np.__file__).parent.parent
+        spaced = tmp_path / "site with space"
+        spaced.mkdir()
+        for name in ("numpy", "numpy.libs"):
+            if (site / name).exists():
+                (spaced / name).symlink_to(site / name)
+        proc = subprocess.run(
+            [sys.executable, "-c", "import numpy; from specweight import blas; "
+             "print(' ' in numpy.__file__, type(blas.threads()).__name__)"],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join([str(spaced), SRC])),
+            capture_output=True, text=True, check=True, timeout=60)
+        assert proc.stdout.split() == ["True", "int"]
 
 
 class TestReport:
@@ -1119,6 +1155,29 @@ class TestExitPaths:
                        "--c", "1e308", "--epochs", "1")
         assert proc.returncode == 3
         assert proc.stderr == "numerical failure: non-finite objective at epoch 0\n"
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("command", ["synth", "train"])
+    def test_a_stdout_closed_by_its_reader_is_not_an_error(self, cohort_dir, tmp_path,
+                                                           command, unbuffered):
+        """The reader is gone before the command prints: the run still exits
+        0, says nothing on stderr and writes every file a normal run writes.
+        Unbuffered, the print itself fails; buffered, the final flush does."""
+        args = {"synth": ["synth", "--n-subjects", "20"],
+                "train": ["train", "--cohort", str(cohort_dir / "cohort.csv"),
+                          "--epochs", "1", "--folds", "2"]}[command]
+        proc = subprocess.Popen(
+            [sys.executable, "-c", "from specweight.cli import entrypoint; entrypoint()",
+             *args, "--out", str(tmp_path / "closed")],
+            env=dict(os.environ, PYTHONPATH=SRC, PYTHONUNBUFFERED=unbuffered),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (0, b"")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([*args, "--out", str(tmp_path / "open")]) == 0
+        written = sorted(p.name for p in (tmp_path / "open").iterdir())
+        assert sorted(p.name for p in (tmp_path / "closed").iterdir()) == written
 
     @pytest.mark.parametrize("command", ["graph", "train", "sweep"])
     def test_undecodable_config_is_data_error(self, tmp_path, command):

@@ -46,23 +46,24 @@ COMMANDS = [
 
 
 def _openblas_config():
-    """The configuration string of the OpenBLAS that numpy's wheel bundles,
-    which names the kernel set picked for this CPU, or None."""
+    """The configuration string of the OpenBLAS that numpy's linear-algebra
+    extension links, which names the kernel set picked for this CPU, or None.
+    The handle is the one `specweight.blas` uses: `dlsym` on it also searches
+    the libraries the extension links."""
     import ctypes
 
-    base = Path(np.__file__).parent
-    for lib in sorted([*base.parent.glob("numpy.libs/*openblas*"),
-                       *base.glob(".dylibs/*openblas*")]):
-        try:
-            handle = ctypes.CDLL(str(lib))
-        except OSError:
-            continue
-        for name in ("scipy_openblas_get_config64_", "scipy_openblas_get_config",
-                     "openblas_get_config64_", "openblas_get_config"):
-            fn = getattr(handle, name, None)
-            if fn is not None:
-                fn.argtypes, fn.restype = [], ctypes.c_char_p
-                return " ".join(fn().decode().split())
+    from numpy.linalg import _umath_linalg
+
+    try:
+        handle = ctypes.CDLL(os.fspath(_umath_linalg.__file__))
+    except (TypeError, OSError):
+        return None
+    for name in ("scipy_openblas_get_config64_", "scipy_openblas_get_config",
+                 "openblas_get_config64_", "openblas_get_config"):
+        fn = getattr(handle, name, None)
+        if fn is not None:
+            fn.argtypes, fn.restype = [], ctypes.c_char_p
+            return " ".join(fn().decode().split())
     return None
 
 
